@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,7 +245,8 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
     update; the degree escalates (up to 256) until the truncation
     estimate drops below tol relative to g, else ToleranceNotMet.
     ``cache_dir`` enables a JSON cache keyed by (kappa, w_max, tol,
-    degree).
+    degree); a cached solution is used only when it was solved for
+    exactly this request.
     """
     kappa = int(kappa)
     if kappa < 1:
@@ -256,13 +258,18 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
     if degree < 4:
         raise ValueError("degree must be >= 4")
 
+    w_max, tol = float(w_max), float(tol)
     cache_path = None
     if cache_dir is not None:
-        key = f"jfun_k{kappa}_w{w_max:.6g}_t{tol:.3g}_d{degree}.json"
+        key = f"jfun_k{kappa}_w{w_max!r}_t{tol!r}_d{degree}.json"
         cache_path = os.path.join(cache_dir, key)
         if os.path.exists(cache_path):
             with open(cache_path) as fh:
-                return JFunction.from_json(json.load(fh))
+                data = json.load(fh)
+            # The stored degree is the highest one the solve escalated to.
+            if (data["kappa"], data["w_max"], data["tol"]) == (kappa, w_max, tol) \
+                    and data["degree"] >= degree:
+                return JFunction.from_json(data)
 
     n_intervals = max(int(math.ceil(w_max)) - 1, 0)
     coeffs: list[np.ndarray] = []
@@ -283,11 +290,17 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
         coeffs.append(gc)
         g_left = g_right
 
-    jf = JFunction(kappa, float(w_max), tol, max_deg, c_kappa(kappa).log, coeffs)
+    jf = JFunction(kappa, w_max, tol, max_deg, c_kappa(kappa).log, coeffs)
     if cache_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w") as fh:
-            json.dump(jf.to_json(), fh)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(jf.to_json(), fh)
+            os.replace(tmp, cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return jf
 
 

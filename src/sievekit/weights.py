@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arithmetic import (
     LinearSystem,
     _primes_below,
@@ -46,13 +48,7 @@ from .errors import (
 from .moments import SievePolynomial
 
 SUPPORT_NODE_BUDGET = 10_000_000
-GSUM_NODE_BUDGET = 100_000_000
-
-try:
-    import numba as _numba
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _numba = None
+GSUM_WORK_BUDGET = 100_000_000
 
 
 # ----------------------------------------------------------------------
@@ -260,84 +256,49 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
           budget: int | None = None):
     """G(r, z') = sum over squarefree m < r, m | P(z'), of 1/f'(m).
 
-    Exact Fraction mode enumerates the support; float mode runs an
-    iterative DFS (numba-accelerated when available)."""
+    One recurrence over the floor values V = {floor(N/i)} u {0},
+    N = ceil(r) - 1, serves both modes: S(v) starts at 1 for v >= 1 and
+    each prime p < z' applies S(v) += S(floor(v/p)) / f'(p), reading the
+    old values, so S(N) = G.  Float mode uses 1/f'(p) = rho(p)/(p - rho(p));
+    exact mode keeps S scaled by D = prod (p - rho(p)) in Python integers
+    and returns Fraction(S(N), D).  The work is pi(z') * |V| steps,
+    O(pi(z') sqrt(r)); ``budget`` caps that count (BudgetExceeded) before
+    anything is allocated.  rho(p) = p raises ZeroFactor; rho(p) = 0
+    gives the prime weight 0.
+    """
     if r <= 1:
         raise SupportEmpty("r <= 1 leaves no support")
-    if exact:
-        total = Fraction(0)
-        for m, _ in support_elements(r, z_prime, budget or SUPPORT_NODE_BUDGET):
-            total += 1 / f_values(L, m)[1]
-        return total
-    primes = [p for p in _primes_below(min(z_prime, r))]
-    wts = []
-    for p in primes:
-        rho_p = _rho_prime(L, p)
+    primes = _primes_below(min(z_prime, r))
+    rhos = [_rho_prime(L, p) for p in primes]
+    for p, rho_p in zip(primes, rhos):
         if rho_p == p:
             raise ZeroFactor(f"rho({p}) = {p}: f'({p}) = 0 pole")
-        wts.append(rho_p / (p - rho_p))  # 1/f'(p)
-    budget = budget or GSUM_NODE_BUDGET
-    if _numba is not None and len(primes) > 25:
-        total, nodes = _gsum_numba(
-            _np.asarray(primes, dtype=_np.float64),
-            _np.asarray(wts, dtype=_np.float64),
-            float(r), budget)
-        if math.isnan(total):
-            raise BudgetExceeded("G-sum DFS above node budget")
-        return float(total)
-    return _gsum_python(primes, wts, r, budget)
-
-
-def _gsum_python(primes, wts, cap, budget):
-    total = 1.0  # m = 1 term
-    nodes = 1
-    n = len(primes)
-    stack = [(0, 1.0, 1.0)]
-    while stack:
-        i0, m, w = stack.pop()
-        for i in range(i0, n):
-            mp = m * primes[i]
-            if mp >= cap:
-                break
-            wp = w * wts[i]
-            total += wp
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("G-sum DFS above node budget")
-            stack.append((i + 1, mp, wp))
-    return total
-
-
-if _numba is not None:
-    @_numba.njit(cache=False)
-    def _gsum_numba(primes, wts, cap, budget):  # pragma: no cover - thin kernel
-        n = primes.shape[0]
-        total = 1.0
-        nodes = 1
-        stack_i = _np.zeros(64, dtype=_np.int64)
-        stack_m = _np.ones(64, dtype=_np.float64)
-        stack_w = _np.ones(64, dtype=_np.float64)
-        top = 0
-        stack_i[0] = 0
-        while top >= 0:
-            i = stack_i[top]
-            m = stack_m[top]
-            w = stack_w[top]
-            if i >= n or m * primes[i] >= cap:
-                top -= 1
-                continue
-            stack_i[top] = i + 1
-            mp = m * primes[i]
-            wp = w * wts[i]
-            total += wp
-            nodes += 1
-            if nodes > budget:
-                return _np.nan, nodes
-            top += 1
-            stack_i[top] = i + 1
-            stack_m[top] = mp
-            stack_w[top] = wp
-        return total, nodes
+    # Every support element divides the product of these primes.
+    N = math.ceil(r) - 1
+    prod = 1
+    for p in primes:
+        prod *= p
+        if prod > N:
+            break
+    else:
+        N = prod
+    s = math.isqrt(N)
+    size = 2 * s + 1 - (N // s == s)
+    if len(primes) * size > (budget or GSUM_WORK_BUDGET):
+        raise BudgetExceeded(f"G-sum work {len(primes)} x {size} above budget")
+    large = N // np.arange(s, 0, -1, dtype=np.int64)
+    V = np.concatenate((np.arange(s + 1, dtype=np.int64), large[large > s]))
+    S = np.ones(size, dtype=object if exact else float)
+    S[0] = 0
+    scale = 1
+    for p, rho_p in zip(primes, rhos):
+        below = S[np.searchsorted(V, V // p)]
+        if exact:
+            S = (p - rho_p) * S + rho_p * below
+            scale *= p - rho_p
+        else:
+            S += rho_p / (p - rho_p) * below
+    return Fraction(int(S[-1]), scale) if exact else float(S[-1])
 
 
 def g_sum_report(L: LinearSystem, r: float, z_prime: float, J) -> dict:

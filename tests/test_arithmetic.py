@@ -72,7 +72,7 @@ class TestRho:
         assert rho(twin, 1) == 1
 
     def test_scan_vs_roots_paths(self, twin):
-        # residue scan (used below 50) against the root-solving path
+        # the root-solving path against an independent residue scan
         for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                   53, 59, 61, 67, 71, 97, 101]:
             assert _rho_prime(twin, p) == brute_rho(twin, p)

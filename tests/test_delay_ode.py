@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -256,3 +257,21 @@ class TestCache:
         for w in (0.5, 1.5, 3.3, 4.4):
             assert a.q(w) == b.q(w)
         assert len(list(tmp_path.iterdir())) == 1
+
+    def test_nearby_w_max_not_confused(self, tmp_path):
+        # both w_max used to format to the same key at 6 significant digits
+        solve_j(5, 4.888881, cache_dir=str(tmp_path))
+        J = solve_j(5, 4.888884, cache_dir=str(tmp_path))
+        assert J.w_max == 4.888884
+        assert J.j(4.888883) == solve_j(5, 4.888884).j(4.888883)
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_mismatched_entry_resolved(self, tmp_path):
+        a = solve_j(5, 4.5, cache_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        data = json.loads(path.read_text())
+        data["w_max"] = 4.0
+        path.write_text(json.dumps(data))
+        b = solve_j(5, 4.5, cache_dir=str(tmp_path))
+        assert b.w_max == 4.5 and b.q(4.4) == a.q(4.4)
+        assert json.loads(path.read_text())["w_max"] == 4.5

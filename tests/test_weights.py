@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievekit.arithmetic import from_offsets, rho, V_product
+from sievekit.arithmetic import build_system, from_offsets, rho, V_product
 from sievekit.delay_ode import solve_j
-from sievekit.errors import BudgetExceeded, DomainError, SupportEmpty
+from sievekit.errors import BudgetExceeded, DomainError, SupportEmpty, ZeroFactor
 from sievekit.moments import SievePolynomial
 from sievekit.weights import (
     G_sum,
@@ -27,6 +27,8 @@ from sievekit.weights import (
     zeta_from_lambda,
     zeta_from_poly,
 )
+
+from test_arithmetic import brute_rho
 
 
 class TestRichert:
@@ -146,7 +148,56 @@ class TestZetaLambda:
         assert data["lambda"]["1"] == str(S.lam[1])
 
 
+def G_oracle(L, r, z_prime):
+    """G(r, z') by enumerating squarefree m < r with every prime factor
+    below z', and 1/f'(p) = rho(p)/(p - rho(p)) from brute_rho."""
+    weight = {}
+    total = Fraction(0)
+    for m in range(1, math.ceil(r)):
+        primes, rest, p = [], m, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                primes.append(p)
+                rest //= p
+            else:
+                p += 1
+        if rest > 1:
+            primes.append(rest)
+        if len(set(primes)) < len(primes) or any(p >= z_prime for p in primes):
+            continue
+        term = Fraction(1)
+        for p in primes:
+            if p not in weight:
+                rho_p = brute_rho(L, p)
+                weight[p] = Fraction(rho_p, p - rho_p)
+            term *= weight[p]
+        total += term
+    return total
+
+
 class TestGSum:
+    @pytest.mark.parametrize("forms", [[[1, 0]], [[1, 0], [1, 2]],
+                                       [[1, 0], [1, 2], [1, 6]], [[2, 1]]])
+    @pytest.mark.parametrize("r,zp", [(2, 30), (5, 5), (97, 13), (1000.5, 30),
+                                      (50, 100), (200, 200), (3000, 60),
+                                      (2311, 12), (10 ** 4, 8)])
+    def test_matches_enumeration(self, forms, r, zp):
+        # non-integer r, r <= z', and r above the primorial (2310, 210)
+        L = build_system(forms)
+        want = G_oracle(L, r, zp)
+        assert G_sum(L, r, zp, exact=True) == want
+        assert G_sum(L, r, zp) == pytest.approx(float(want), rel=1e-13)
+
+    def test_float_matches_exact_large(self, twin):
+        a = G_sum(twin, 10 ** 5, 300)
+        b = G_sum(twin, 10 ** 5, 300, exact=True)
+        assert a == pytest.approx(float(b), rel=1e-12)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rho_equals_p_raises(self, exact):
+        with pytest.raises(ZeroFactor):
+            G_sum(from_offsets([0, 1]), 10, 10, exact=exact)
+
     def test_hand_value(self, tuple_n):
         assert G_sum(tuple_n, 5, 5, exact=True) == Fraction(5, 2)
 
@@ -171,8 +222,8 @@ class TestGSum:
         for L in (tuple_n, twin):
             J = solve_j(L.kappa, 2.0)
             errs = [abs(g_sum_report(L, zp * zp, zp, J)["ratio"] - 1.0)
-                    for zp in (100, 1000)]
-            assert errs[1] < errs[0]
+                    for zp in (100, 1000, 10_000)]
+            assert errs[2] < errs[1] < errs[0]
 
 
 class TestInstance:
