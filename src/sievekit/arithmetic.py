@@ -422,17 +422,24 @@ def arithmetic_tables(limit: int, cap: int = DEFAULT_TABLE_CAP) -> ArithmeticTab
     if limit > cap:
         raise LimitTooLarge(f"limit {limit} exceeds cap {cap}")
     lpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if lpf[p] == 0:
-            sl = lpf[p::p]
-            sl[sl == 0] = p
-    primes = np.flatnonzero(lpf[2:] == np.arange(2, limit + 1)) + 2
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-        if p * p <= limit:
+    # rad[n] = product of the primes <= sqrt(limit) dividing n; it is at
+    # most n, so the smallest unsigned type holding limit suffices
+    rad = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in range(2, math.isqrt(limit) + 1):
+        if lpf[p] == 0:
+            sl = lpf[p * p::p]
+            sl[sl == 0] = p
+            mu[p::p] *= -1
             mu[p * p::p * p] = 0
+            rad[p::p] *= p
+    # n > 1 with no prime factor <= sqrt(limit) is prime
+    primes = np.flatnonzero(lpf[2:] == 0) + 2
+    lpf[primes] = primes
+    # n <= limit has at most one prime factor above sqrt(limit), to the
+    # first power; it is there exactly when rad[n] < n for squarefree n
+    mu[rad < np.arange(limit + 1)] *= -1
     return ArithmeticTables(limit, primes.astype(np.int64), lpf, mu)
 
 

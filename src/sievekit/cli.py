@@ -25,6 +25,7 @@ from .arithmetic import parse_tuple_spec
 from .delay_ode import solve_j
 from .errors import (
     BudgetExceeded,
+    Int64Overflow,
     LimitTooLarge,
     QuadratureFailure,
     RangeOverflow,
@@ -33,7 +34,7 @@ from .errors import (
 )
 
 _BUDGET_ERRORS = (BudgetExceeded, ToleranceNotMet, QuadratureFailure,
-                  LimitTooLarge, RangeOverflow)
+                  LimitTooLarge, RangeOverflow, Int64Overflow)
 
 
 def _write_output(text: str, path: str | None):

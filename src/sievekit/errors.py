@@ -37,6 +37,10 @@ class RangeOverflow(SieveKitError):
     """Value not representable in double precision; use the log-scaled API."""
 
 
+class Int64Overflow(SieveKitError):
+    """Form values over the requested range do not fit in a signed 64-bit integer."""
+
+
 class OutOfRange(SieveKitError):
     """Evaluation point lies beyond the solved domain."""
 

@@ -1,10 +1,14 @@
 """Exact Omega histograms over n <= x for a linear-form product.
 
-Responsibility: empirical counting only.  Each segment sieves the form
-values by every prime up to sqrt(max |value|): the residue classes
-hit by a form are marked and divided out with multiplicity, and any
-leftover cofactor > 1 is prime.  This is exact, not probabilistic.
-Segments are independent, so threading changes nothing but wall time.
+Responsibility: empirical counting only.  For a form a*n + b and a
+prime p not dividing a, the n with p^k | a*n + b are one residue class
+c = -b/a mod p^k.  omega_profile computes these classes once, for every
+prime power q = p^k <= max |value| with p <= sqrt(max |value|); each
+segment then takes one strided slice per class, adding 1 to Omega and
+multiplying p into the found part of the value.  The cofactor |value| /
+found has no prime factor below sqrt(max |value|), so it is 1 or a
+prime.  This is exact, not probabilistic.  Segments are independent,
+so threading changes nothing but wall time.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import LinearSystem, arithmetic_tables
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Int64Overflow
 
 DEFAULT_X_CAP = 100_000_000
 DEFAULT_SEGMENT = 1 << 17
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -41,39 +46,43 @@ class OmegaHistogram:
         return sum(c for k, c in self.counts.items() if k <= r)
 
 
-def _segment_histogram(L: LinearSystem, lo: int, hi: int, primes: np.ndarray):
-    """Histogram of Omega(L(n)) for n in [lo, hi)."""
+def _prime_power_classes(a: int, b: int, vmax: int, primes: np.ndarray):
+    """(p, q, c) for each prime power q = p^k <= vmax with p <= sqrt(vmax):
+    q divides a*n + b exactly when n = c (mod q).  Primes dividing a are
+    left out, since gcd(a, b) = 1 keeps them away from every value."""
+    classes = []
+    for p in primes[:np.searchsorted(primes, math.isqrt(vmax), "right")].tolist():
+        if a % p == 0:
+            continue
+        q = p
+        while q <= vmax:
+            classes.append((p, q, -b * pow(a, -1, q) % q))
+            q *= p
+    return classes
+
+
+def _segment_histogram(L: LinearSystem, lo: int, hi: int, classes):
+    """Histogram of Omega(L(n)) for n in [lo, hi); ``classes[i]`` holds
+    the prime-power classes of form i."""
     n = np.arange(lo, hi, dtype=np.int64)
-    omega_total = np.zeros(hi - lo, dtype=np.int32)
+    omega = np.zeros(hi - lo, dtype=np.int32)
     zero_any = np.zeros(hi - lo, dtype=bool)
-    for a, b in L.forms:
-        vals = a * n + b
-        av = np.abs(vals)
+    for (a, b), form_classes in zip(L.forms, classes):
+        av = np.abs(a * n + b)
         zero = av == 0
         zero_any |= zero
-        residual = np.where(zero, np.int64(1), av)
-        omega = np.zeros(hi - lo, dtype=np.int32)
-        vmax = int(residual.max(initial=1))
-        for p in primes:
-            p = int(p)
-            if p * p > vmax:
-                break
-            if a % p == 0:
-                continue  # gcd(a,b)=1 keeps p away from every value
-            c = (-b) * pow(a % p, -1, p) % p
-            off = (c - lo) % p
-            idx = np.arange(off, hi - lo, p, dtype=np.int64)
-            if idx.size == 0:
-                continue
-            cur = idx[residual[idx] % p == 0]
-            while cur.size:
-                residual[cur] //= p
-                omega[cur] += 1
-                cur = cur[residual[cur] % p == 0]
-        omega += residual > 1
-        omega_total += omega
+        # found = the part of |value| made of primes <= sqrt(vmax), so it
+        # divides |value| and fits in int64.  Every q divides 0, so found
+        # starts at 0 where the value is 0 and stays 0 there.
+        found = (~zero).astype(np.int64)
+        for p, q, c in form_classes:
+            off = (c - lo) % q
+            omega[off::q] += 1
+            found[off::q] *= p
+        # |value| / found has no prime factor <= sqrt(vmax): it is 1 or prime
+        omega += found < av
     keep = ~zero_any
-    hist = np.bincount(omega_total[keep])
+    hist = np.bincount(omega[keep])
     counts = Counter({k: int(v) for k, v in enumerate(hist) if v})
     return counts, int(zero_any.sum())
 
@@ -83,7 +92,8 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     """Exact histogram of Omega(L(n)) over 1 <= n <= x.
 
     Deterministic regardless of segment size or thread count: segment
-    results are integer counters merged by addition.
+    results are integer counters merged by addition.  Raises
+    Int64Overflow when a*n or a*n + b leaves the signed 64-bit range.
     """
     x = int(x)
     if x < 0:
@@ -92,20 +102,24 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
         raise BudgetExceeded(f"x = {x} above cap {x_cap}")
     if x == 0:
         return OmegaHistogram(L, 0, {}, 0)
-    vmax = 1
-    for a, b in L.forms:
-        vmax = max(vmax, abs(a * 1 + b), abs(a * x + b))
-    primes = arithmetic_tables(max(math.isqrt(vmax) + 1, 3)).primes
+    # |a*n + b| on 1 <= n <= x is largest at an end
+    form_vmax = [max(abs(a + b), abs(a * x + b)) for a, b in L.forms]
+    for (a, b), vmax in zip(L.forms, form_vmax):
+        if max(vmax, abs(a) * x, abs(b)) >= _INT64_LIMIT:
+            raise Int64Overflow(f"{a}*n + {b} does not fit in int64 for n <= {x}")
+    primes = arithmetic_tables(max(math.isqrt(max(form_vmax)) + 1, 3)).primes
+    classes = [_prime_power_classes(a, b, vmax, primes)
+               for (a, b), vmax in zip(L.forms, form_vmax)]
     spans = [(lo, min(lo + segment_size, x + 1))
              for lo in range(1, x + 1, segment_size)]
     counts = Counter()
     excluded = 0
     if threads <= 1:
-        results = [_segment_histogram(L, lo, hi, primes) for lo, hi in spans]
+        results = [_segment_histogram(L, lo, hi, classes) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
-                lambda span: _segment_histogram(L, span[0], span[1], primes), spans))
+                lambda span: _segment_histogram(L, span[0], span[1], classes), spans))
     for c, ex in results:
         counts.update(c)
         excluded += ex

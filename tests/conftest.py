@@ -2,6 +2,7 @@ import pytest
 
 from sievekit.arithmetic import arithmetic_tables, from_offsets
 from sievekit.delay_ode import solve_j
+from sievekit.weights import build_lambda_system
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,24 @@ def tuple_n():
 @pytest.fixture(scope="session")
 def twin():
     return from_offsets([0, 2])
+
+
+@pytest.fixture(scope="session")
+def classical_lambda_sweep():
+    """The exhaustive exact lambda sweep shared by criterion 6 and the
+    weight tests: tuples {0} and {0,2}, 2 <= z' <= 50, 2 <= xi <= 200.
+    Maps (offsets, z', xi) to the number of nu with |lambda~_nu| >
+    |lambda~_1|."""
+    violations = {}
+    for offsets in ((0,), (0, 2)):
+        L = from_offsets(offsets)
+        for zp in range(2, 51):
+            for xi in range(2, 201):
+                S = build_lambda_system(L, xi, zp)
+                l1 = abs(S.lam[1])
+                violations[offsets, zp, xi] = sum(
+                    1 for v in S.lam.values() if abs(v) > l1)
+    return violations
 
 
 @pytest.fixture(scope="session")

@@ -127,17 +127,11 @@ def test_criterion_5_exact_identity():
     assert report(5, ok, f"(all residuals exactly 0, {elapsed:.1f}s)")
 
 
-def test_criterion_6_classical_lambda_bound():
+def test_criterion_6_classical_lambda_bound(classical_lambda_sweep):
     """|lambda~_nu| <= lambda~_1 exhaustively, xi <= 200, z' <= 50,
     tuples {0} and {0,2}; zero violations."""
-    violations = 0
-    for offsets in ([0], [0, 2]):
-        L = from_offsets(offsets)
-        for zp in range(2, 51):
-            for xi in range(2, 201):
-                S = build_lambda_system(L, xi, zp)
-                l1 = abs(S.lam[1])
-                violations += sum(1 for v in S.lam.values() if abs(v) > l1)
+    assert len(classical_lambda_sweep) == 2 * 49 * 199
+    violations = sum(classical_lambda_sweep.values())
     ok = violations == 0
     assert report(6, ok, f"(violations = {violations})")
 

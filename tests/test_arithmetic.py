@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,37 @@ from sievekit.errors import GcdViolation, LimitTooLarge, ZeroDiscriminant, ZeroV
 
 
 def brute_rho(L, d):
-    return sum(1 for n in range(d) if L.value(n) % d == 0)
+    """#{0 <= n < d : d | L(n)} by direct count: the product of the
+    (a*n + b) mod d, reduced mod d after each factor, one chunk of n at
+    a time.  Each partial product is below d^2, which must fit in int64."""
+    assert d * d < 2 ** 63
+    count = 0
+    chunk = 1 << 20
+    for lo in range(0, d, chunk):
+        n = np.arange(lo, min(lo + chunk, d), dtype=np.int64)
+        prod = np.ones_like(n)
+        for a, b in L.forms:
+            prod = prod * ((a * n + b) % d) % d
+        count += int(np.count_nonzero(prod == 0))
+    return count
+
+
+def loop_tables(limit):
+    """The per-prime sieve loop over every p <= limit, kept as the
+    reference for arithmetic_tables."""
+    lpf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if lpf[p] == 0:
+            sl = lpf[p::p]
+            sl[sl == 0] = p
+    primes = np.flatnonzero(lpf[2:] == np.arange(2, limit + 1)) + 2
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes:
+        mu[p::p] *= -1
+        if p * p <= limit:
+            mu[p * p::p * p] = 0
+    return primes, lpf, mu
 
 
 class TestBuildSystem:
@@ -240,6 +271,16 @@ class TestTables:
     def test_cap(self):
         with pytest.raises(LimitTooLarge):
             arithmetic_tables(10 ** 12)
+
+    @pytest.mark.parametrize("limit", [2, 10, 30, 10 ** 4, 10 ** 6])
+    def test_matches_loop_sieve(self, limit):
+        t = arithmetic_tables(limit)
+        primes, lpf, mu = loop_tables(limit)
+        assert np.array_equal(t.primes, primes)
+        assert np.array_equal(t.least_prime_factor, lpf)
+        assert np.array_equal(t.moebius, mu)
+        assert t.primes.dtype == t.least_prime_factor.dtype == np.int64
+        assert t.moebius.dtype == np.int8
 
 
 class TestPrimality:

@@ -107,6 +107,12 @@ class TestContracts:
         assert code == 3
         assert "error" in err
 
+    def test_int64_overflow_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--tuple",
+                               '{"forms": [[4611686018427387904, 1]]}', "--x", "10")
+        assert code == 3
+        assert "int64" in err
+
     def test_bad_args_exit_2(self, capsys):
         assert run_cli(capsys, "bound", "--kappa", "abc")[0] == 2
 

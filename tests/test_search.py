@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievekit.arithmetic import build_system, from_offsets
-from sievekit.errors import BudgetExceeded
+from sievekit.errors import BudgetExceeded, Int64Overflow, LimitTooLarge
 from sievekit.search import (
     count_at_most,
     density_report,
@@ -77,6 +77,25 @@ class TestProfile:
         assert hz.excluded == 1  # n = 7
         assert hz.total() == 20
 
+    @pytest.mark.parametrize("forms,x", [
+        # a > 1: the primes dividing a (3 and 5; 3 for 9) divide no value
+        # of their own form
+        ([[3, 1], [5, -2]], 4000),
+        ([[9, 2], [1, 1]], 4000),
+        # negative values, the values -1 and 1, and a zero at n = 1000
+        ([[-3, 2000], [1, -1000]], 4000),
+        # 2^12 | n at n = 4096 and 3^8 | 2n - 1 at n = 3281
+        ([[1, 0], [2, -1]], 5000),
+    ])
+    def test_prime_power_classes_against_naive(self, forms, x):
+        L = build_system(forms)
+        h = omega_profile(L, x)
+        counts, excluded = naive_profile(L, x)
+        assert h.counts == counts and h.excluded == excluded
+        for seg in (7, 997):
+            hs = omega_profile(L, x, segment_size=seg)
+            assert hs.counts == h.counts and hs.excluded == h.excluded
+
     def test_segment_size_invariance(self, twin):
         a = omega_profile(twin, 20000, segment_size=1 << 17)
         b = omega_profile(twin, 20000, segment_size=997)
@@ -92,6 +111,18 @@ class TestProfile:
     def test_budget(self, twin):
         with pytest.raises(BudgetExceeded):
             omega_profile(twin, 10 ** 9)
+
+    def test_int64_guard(self):
+        # 10 * 2^62 + 1 leaves int64; the guard fires before the prime
+        # table up to sqrt(10 * 2^62) would hit its cap
+        with pytest.raises(Int64Overflow):
+            omega_profile(build_system([[1 << 62, 1]]), 10)
+        # the value 2^62 + 1 fits, but 2 * 2^62 on the way to it does not
+        with pytest.raises(Int64Overflow):
+            omega_profile(build_system([[1 << 62, 1 - (1 << 62)]]), 2)
+        # 2^62 + 1 fits in int64: the guard passes and the table cap stops it
+        with pytest.raises(LimitTooLarge):
+            omega_profile(build_system([[1 << 62, 1]]), 1)
 
 
 class TestCounts:
