@@ -147,7 +147,7 @@ def _roots_mod_prime(L: LinearSystem, p: int):
     return sorted(roots)
 
 
-def rho(L: LinearSystem, d: int, tables: "ArithmeticTables | None" = None) -> int:
+def rho(L: LinearSystem, d: int) -> int:
     """Number of n mod d with L(n) = 0 (mod d).
 
     Multiplicative over the prime factors for squarefree d; rho(1) = 1.

@@ -129,16 +129,15 @@ def cmd_identity(args) -> int:
 
 def cmd_search(args) -> int:
     L = parse_tuple_spec(args.tuple)
-    hist = search_mod.omega_profile(L, args.x, segment_size=args.segment_size,
-                                    threads=args.threads)
+    sieve = {"segment_size": args.segment_size, "threads": args.threads}
+    # --density counts through its own search: the histogram is not needed
+    if args.r is not None and args.density:
+        rep = search_mod.density_report(L, args.x, args.r, **sieve)
+        _write_output(rep.to_json() + "\n", args.output)
+        return 0
+    hist = search_mod.omega_profile(L, args.x, **sieve)
     if args.r is not None:
-        if args.density:
-            rep = search_mod.density_report(L, args.x, args.r,
-                                            segment_size=args.segment_size,
-                                            threads=args.threads)
-            _write_output(rep.to_json() + "\n", args.output)
-        else:
-            _write_output(f"{hist.count_at_most(args.r)}\n", args.output)
+        _write_output(f"{hist.count_at_most(args.r)}\n", args.output)
         return 0
     if args.format == "json":
         payload = {"tuple": L.label(), "x": args.x, "excluded": hist.excluded,

@@ -10,6 +10,11 @@ and inverted by
 
     mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr} / f'(dr).
 
+Each system enumerates its support once into a SupportLattice (mu, f and
+f' from one rho(p) per prime).  The support is divisor-closed, so both
+directions are superset sums: one pass of acc[m/p] += acc[m] per prime p
+over the m it divides, O(|S| omega) additions in all.
+
 For a concrete instance A = {L(n) : n <= x} the weighted sum
 
     sum_n (sum_{d|L(n), d|P(z)} a_d) (sum_{nu|L(n), nu|P(z')} lambda_nu)^2
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +40,13 @@ from .arithmetic import (
     _rho_prime,
     f_values,
     is_prime,
+    rho,
     roots_mod_squarefree,
     V_product,
 )
 from .errors import (
     BudgetExceeded,
+    DensityZero,
     DivisionByZero,
     DomainError,
     SupportEmpty,
@@ -117,6 +124,18 @@ def support_elements(xi: float, z_prime: float,
 # lambda / zeta systems
 
 
+@dataclass(frozen=True)
+class SupportLattice:
+    """mu, f and f' keyed by the elements of one support, ascending
+    (Fractions in exact mode, floats otherwise), and the triples
+    (p, m, m/p) for each prime p of each element m, sorted by p."""
+
+    mu: dict
+    f: dict
+    fp: dict
+    steps: tuple[tuple[int, int, int], ...]
+
+
 @dataclass
 class LambdaSystem:
     """zeta/lambda weight pair over the squarefree support.
@@ -132,6 +151,7 @@ class LambdaSystem:
     zeta: dict
     lam: dict
     exact: bool
+    lattice: SupportLattice = field(repr=False, compare=False)
 
     def normalized(self) -> dict:
         l1 = self.lam[1]
@@ -153,28 +173,47 @@ class LambdaSystem:
         }
 
 
-def _f_tables(L, support_factored, exact):
-    """Per-element f and f' over the support, exact or float."""
-    f = {}
-    fp = {}
-    for m, pf in support_factored:
-        if m == 1:
-            f[1] = Fraction(1) if exact else 1.0
-            fp[1] = Fraction(1) if exact else 1.0
-            continue
-        fm, fpm = f_values(L, m)
-        if fpm == 0:
-            raise DivisionByZero(f"f'({m}) = 0")
-        f[m] = fm if exact else float(fm)
-        fp[m] = fpm if exact else float(fpm)
-    return f, fp
+def _lattice(L: LinearSystem, sf, exact: bool) -> SupportLattice:
+    """Lattice over the (m, primes) pairs of support_elements, with
+    f(m) = f(m/p) f(p).  The smallest prime with rho(p) = 0 raises
+    DensityZero, with rho(p) = p (f'(p) = 0) DivisionByZero."""
+    one = Fraction(1) if exact else 1.0
+    f, fp = {1: one}, {1: one}
+    for m, pf in sf[1:]:
+        p = pf[-1]
+        if m == p:
+            r = _rho_prime(L, p)
+            if r == 0:
+                raise DensityZero(f"rho({p}) = 0")
+            if r == p:
+                raise DivisionByZero(f"f'({p}) = 0")
+            f[p], fp[p] = one * p / r, one * (p - r) / r
+        else:
+            f[m], fp[m] = f[m // p] * f[p], fp[m // p] * fp[p]
+    return SupportLattice({m: (-1) ** len(pf) for m, pf in sf}, f, fp,
+                          tuple(sorted((p, m, m // p) for m, pf in sf for p in pf)))
 
 
-def _divisors_from_primes(pf):
-    divs = [1]
-    for p in pf:
-        divs += [d * p for d in divs]
-    return divs
+def _dual(lat: SupportLattice, values: dict, inner: dict, outer: dict) -> dict:
+    """mu(d) outer(d) sum_{m in support, d | m} values[m] / inner(m) for
+    every d in the support, by one superset-sum pass per prime."""
+    acc = {m: values[m] / w for m, w in inner.items()}
+    for _, m, d in lat.steps:
+        acc[d] += acc[m]
+    return {m: lat.mu[m] * outer[m] * a for m, a in acc.items()}
+
+
+def _poly_zeta(P: SievePolynomial, xi: float, z_prime: float, sf,
+               exact: bool) -> dict:
+    u = math.log(xi) / math.log(z_prime)
+    if P.u < u * (1.0 - 1e-12):
+        raise DomainError(f"P defined on [0,{P.u}] but u = {u:.6g}")
+    out = {}
+    for m, _ in sf:
+        w = math.log(xi / m) / math.log(z_prime)
+        val = P.star(w)
+        out[m] = Fraction(val) if exact else val
+    return out
 
 
 def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
@@ -182,49 +221,21 @@ def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
     """zeta_r = P(log(xi/r)/log z') over the support.  In exact mode the
     float value is snapshotted into a dyadic rational so the inversion
     relations can be verified exactly."""
-    u = math.log(xi) / math.log(z_prime)
-    if P.u < u * (1.0 - 1e-12):
-        raise DomainError(f"P defined on [0,{P.u}] but u = {u:.6g}")
-    out = {}
-    for m, _ in support_elements(xi, z_prime):
-        w = math.log(xi / m) / math.log(z_prime)
-        val = P.star(w)
-        out[m] = Fraction(val) if exact else val
-    return out
+    return _poly_zeta(P, xi, z_prime, support_elements(xi, z_prime), exact)
 
 
 def lambda_from_zeta(L: LinearSystem, xi: float, z_prime: float, zeta: dict,
                      exact: bool = True) -> dict:
     """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr)."""
-    sf = support_elements(xi, z_prime)
-    f, fp = _f_tables(L, sf, exact)
-    acc = {m: (Fraction(0) if exact else 0.0) for m, _ in sf}
-    for m, pf in sf:
-        term = zeta[m] / fp[m]
-        for d in _divisors_from_primes(pf):
-            acc[d] += term
-    lam = {}
-    for m, pf in sf:
-        mu = -1 if len(pf) % 2 else 1
-        lam[m] = mu * f[m] * acc[m]
-    return lam
+    lat = _lattice(L, support_elements(xi, z_prime), exact)
+    return _dual(lat, zeta, lat.fp, lat.f)
 
 
 def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
                      exact: bool = True) -> dict:
     """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr)."""
-    sf = support_elements(xi, z_prime)
-    f, fp = _f_tables(L, sf, exact)
-    acc = {m: (Fraction(0) if exact else 0.0) for m, _ in sf}
-    for m, pf in sf:
-        term = lam[m] / f[m]
-        for r in _divisors_from_primes(pf):
-            acc[r] += term
-    zeta = {}
-    for m, pf in sf:
-        mu = -1 if len(pf) % 2 else 1
-        zeta[m] = mu * fp[m] * acc[m]
-    return zeta
+    lat = _lattice(L, support_elements(xi, z_prime), exact)
+    return _dual(lat, lam, lat.f, lat.fp)
 
 
 def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
@@ -232,20 +243,20 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
                         exact: bool = True) -> LambdaSystem:
     """Assemble a LambdaSystem from explicit zeta values, a polynomial
     (zeta_r = P(log(xi/r)/log z')), or the classical choice zeta = 1
-    when neither is given."""
+    when neither is given.  The system keeps its support lattice."""
     sf = support_elements(xi, z_prime)
     support = tuple(m for m, _ in sf)
     if zeta is None and P is not None:
-        zeta = zeta_from_poly(P, xi, z_prime, exact=exact)
+        zeta = _poly_zeta(P, xi, z_prime, sf, exact)
     elif zeta is None:
-        one = Fraction(1) if exact else 1.0
-        zeta = {m: one for m in support}
+        zeta = dict.fromkeys(support, Fraction(1) if exact else 1.0)
     elif not isinstance(zeta, dict):
         zeta = {m: zeta(m) for m in support}
-    lam = lambda_from_zeta(L, xi, z_prime, zeta, exact=exact)
+    lat = _lattice(L, sf, exact)
+    lam = _dual(lat, zeta, lat.fp, lat.f)
     if lam[1] == 0:
         raise DivisionByZero("lambda_1 = 0")
-    return LambdaSystem(L, xi, z_prime, support, dict(zeta), lam, exact)
+    return LambdaSystem(L, xi, z_prime, support, dict(zeta), lam, exact, lat)
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +348,6 @@ class SieveInstance:
 
     def remainder(self, d: int) -> Fraction:
         """Exact R_d = |A_d| - x*rho(d)/d."""
-        from .arithmetic import rho
         return self.count_multiples(d) - Fraction(self.x * rho(self.L, d), d)
 
 
@@ -356,6 +366,13 @@ def _exact_weight(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(float(v))
 
 
+def _richert_weights(W: RichertWeights, exact: bool) -> dict:
+    """{d: a_d} over d = 1 and the primes d < z with a_d != 0, the one
+    list of Richert weights that all three terms of the identity use."""
+    a = {d: richert_a(W, d) for d in (1, *_primes_below(W.z))}
+    return {d: _exact_weight(v) if exact else v for d, v in a.items() if v != 0.0}
+
+
 def s_main(inst_or_L, W: RichertWeights, S: LambdaSystem,
            exact: bool = True, relaxed: bool = False):
     """Main term: sum over support m and d in {1} u {primes < z},
@@ -365,35 +382,24 @@ def s_main(inst_or_L, W: RichertWeights, S: LambdaSystem,
     The relaxed variant drops the coprimality condition; with Richert
     weights the dropped terms are non-positive, so relaxed <= strict."""
     L = inst_or_L.L if isinstance(inst_or_L, SieveInstance) else inst_or_L
-    sf = support_elements(S.xi, S.z_prime)
-    f, fp = _f_tables(L, sf, exact)
     zeta = S.zeta
     zero = Fraction(0) if exact else 0.0
-    primes_z = [p for p in _primes_below(W.z)]
-    a_vals = {1: _exact_weight(W.b) if exact else W.b}
-    for p in primes_z:
-        a = richert_a(W, p)
-        if a != 0.0:
-            a_vals[p] = _exact_weight(a) if exact else a
-    f_of_p = {}
-    for p in primes_z:
-        fv, _ = f_values(L, p)
-        f_of_p[p] = fv if exact else float(fv)
+    a_vals = _richert_weights(W, exact)
+    # a_p / f(p); in float mode the division converts f(p) to float
+    a_over_f = {p: a / f_values(L, p)[0] for p, a in a_vals.items() if p > 1}
     terms = []
-    for m, pf in sf:
+    for m, fpm in S.lattice.fp.items():
         zm = zeta[m]
         # d = 1
-        terms.append(a_vals[1] * zm * zm / fp[m])
-        for p in primes_z:
-            if p not in a_vals:
-                continue
+        terms.append(a_vals[1] * zm * zm / fpm)
+        for p, a_f in a_over_f.items():
             if not relaxed and m % p == 0:
                 continue
             if relaxed and m % p == 0:
                 inner = zm  # zeta_{pm} vanishes: pm is not squarefree
             else:
                 inner = zm - zeta.get(p * m, zero)
-            terms.append(a_vals[p] / f_of_p[p] * inner * inner / fp[m])
+            terms.append(a_f * inner * inner / fpm)
     if exact:
         return sum(terms, Fraction(0))
     return math.fsum(terms)
@@ -403,11 +409,7 @@ def e_error(inst: SieveInstance, W: RichertWeights, S: LambdaSystem,
             exact: bool = True, budget: int = SUPPORT_NODE_BUDGET):
     """Remainder term sum_{d, nu1, nu2} a_d lambda_nu1 lambda_nu2
     R_[d,nu1,nu2], grouped by the joint modulus m = [d, nu1, nu2]."""
-    d_list = [(1, _exact_weight(W.b) if exact else W.b)]
-    for p in _primes_below(W.z):
-        a = richert_a(W, p)
-        if a != 0.0:
-            d_list.append((p, _exact_weight(a) if exact else a))
+    d_list = list(_richert_weights(W, exact).items())
     lam = S.lam
     support = S.support
     if len(support) ** 2 * len(d_list) > budget:
@@ -435,13 +437,10 @@ def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem,
                         exact: bool = True):
     """Left side by exhaustive enumeration over n <= x."""
     L = inst.L
-    primes_z = [(p, _exact_weight(richert_a(W, p)) if exact else richert_a(W, p))
-                for p in _primes_below(W.z) if richert_a(W, p) != 0.0]
-    b = _exact_weight(W.b) if exact else W.b
+    (_, b), *primes_z = _richert_weights(W, exact).items()
     lam = S.lam
     support = S.support
     zero = Fraction(0) if exact else 0.0
-    total = zero
     terms = []
     for n in range(1, inst.x + 1):
         v = L.value(n)

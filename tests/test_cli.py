@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sievekit import search
 from sievekit.cli import main
 
 
@@ -67,6 +68,23 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["r"] == 4
 
+    def test_density_searches_once(self, capsys, monkeypatch):
+        calls = []
+        inner = search.omega_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(search, "omega_profile", counting)
+        code, out, _ = run_cli(capsys, "search", "--tuple", "0,2", "--x", "100000",
+                               "--r", "4", "--density")
+        assert code == 0
+        assert len(calls) == 1
+        assert out == ('{"L_label": "{0,2}", "comparator": 754.4467880464557, '
+                       '"count": 19316, "r": 4, "ratio": 25.602865975500183, '
+                       '"x": 100000}\n')
+
 
 class TestParamsAndJfun:
     def test_params_echo(self, capsys):
@@ -112,6 +130,16 @@ class TestContracts:
                                '{"forms": [[4611686018427387904, 1]]}', "--x", "10")
         assert code == 3
         assert "int64" in err
+
+    @pytest.mark.parametrize("spec,message", [("0,1", "f'(2) = 0"),
+                                              ('{"forms": [[2, 1]]}', "rho(2) = 0")])
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_identity_density_errors_exit_2(self, capsys, spec, message, exact):
+        code, out, err = run_cli(capsys, "identity", "--tuple", spec, "--x", "100",
+                                 "--z", "10", "--zp", "10", "--xi", "10", *exact)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_bad_args_exit_2(self, capsys):
         assert run_cli(capsys, "bound", "--kappa", "abc")[0] == 2

@@ -1,13 +1,22 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sievekit.arithmetic import build_system, from_offsets, rho, V_product
+from sievekit import weights
+from sievekit.arithmetic import build_system, f_values, from_offsets, rho, V_product
 from sievekit.delay_ode import solve_j
-from sievekit.errors import BudgetExceeded, DomainError, SupportEmpty, ZeroFactor
+from sievekit.errors import (
+    BudgetExceeded,
+    DensityZero,
+    DivisionByZero,
+    DomainError,
+    SupportEmpty,
+    ZeroFactor,
+)
 from sievekit.moments import SievePolynomial
 from sievekit.weights import (
     G_sum,
@@ -139,6 +148,153 @@ class TestZetaLambda:
         data = json.loads(text)
         assert data["support"] == [1, 2, 3, 5, 6, 7]
         assert data["lambda"]["1"] == str(S.lam[1])
+
+
+def loop_f_tables(L, support_factored, exact):
+    """Per-element f and f' from f_values, one factorization per
+    element: the reference for the lattice's multiplicative tables."""
+    f = {}
+    fp = {}
+    for m, pf in support_factored:
+        if m == 1:
+            f[1] = Fraction(1) if exact else 1.0
+            fp[1] = Fraction(1) if exact else 1.0
+            continue
+        fm, fpm = f_values(L, m)
+        if fpm == 0:
+            raise DivisionByZero(f"f'({m}) = 0")
+        f[m] = fm if exact else float(fm)
+        fp[m] = fpm if exact else float(fpm)
+    return f, fp
+
+
+def divisors_from_primes(pf):
+    divs = [1]
+    for p in pf:
+        divs += [d * p for d in divs]
+    return divs
+
+
+def push_inversion(L, xi, z_prime, values, exact, to_lambda):
+    """Either direction of the lambda/zeta inversion by pushing each
+    element's term to all 2^omega of its divisors: the reference for
+    the superset-sum transform."""
+    sf = support_elements(xi, z_prime)
+    f, fp = loop_f_tables(L, sf, exact)
+    inner, outer = (fp, f) if to_lambda else (f, fp)
+    acc = {m: (Fraction(0) if exact else 0.0) for m, _ in sf}
+    for m, pf in sf:
+        term = values[m] / inner[m]
+        for d in divisors_from_primes(pf):
+            acc[d] += term
+    return {m: (-1 if len(pf) % 2 else 1) * outer[m] * acc[m] for m, pf in sf}
+
+
+ORACLE_FORMS = [[[1, 0]], [[1, 0], [1, 2]], [[1, 0], [1, 2], [1, 6]], [[3, 1], [5, -1]],
+                [[3, 1], [5, -2]]]
+# xi = 2 (support {1}), xi < z', xi = z', xi > z', and z' far above xi
+ORACLE_GRID = [(2, 30), (2, 2), (10, 30), (13, 13), (30, 12), (97, 13),
+               (210, 50), (300, 7), (60, 1000)]
+
+
+class TestLatticeOracle:
+    @staticmethod
+    def _random_rationals(rng, support):
+        return {m: Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
+                for m in support}
+
+    @pytest.mark.parametrize("forms", ORACLE_FORMS)
+    @pytest.mark.parametrize("xi,zp", ORACLE_GRID)
+    def test_exact_inversions_match_divisor_push(self, forms, xi, zp):
+        L = build_system(forms)
+        ones = {m: Fraction(1) for m, _ in support_elements(xi, zp)}
+        try:
+            want = push_inversion(L, xi, zp, ones, True, True)
+        except DivisionByZero as exc:
+            # rho(2) = 2 for [[3,1],[5,-2]]: every path refuses it alike
+            for call in (lambda: build_lambda_system(L, xi, zp),
+                         lambda: lambda_from_zeta(L, xi, zp, ones),
+                         lambda: zeta_from_lambda(L, xi, zp, ones)):
+                with pytest.raises(DivisionByZero, match=re.escape(str(exc))):
+                    call()
+            return
+        S = build_lambda_system(L, xi, zp)
+        assert S.lam == want
+        assert lambda_from_zeta(L, xi, zp, S.zeta) == want
+        rng = np.random.default_rng(xi * 1000 + zp)
+        zeta = self._random_rationals(rng, S.support)
+        assert lambda_from_zeta(L, xi, zp, zeta) == push_inversion(L, xi, zp, zeta, True, True)
+        assert build_lambda_system(L, xi, zp, zeta=zeta).lam == \
+            push_inversion(L, xi, zp, zeta, True, True)
+        lam = self._random_rationals(rng, S.support)
+        assert zeta_from_lambda(L, xi, zp, lam) == push_inversion(L, xi, zp, lam, True, False)
+        assert zeta_from_lambda(L, xi, zp, S.lam) == S.zeta
+
+    @pytest.mark.parametrize("forms", ORACLE_FORMS[:4])
+    @pytest.mark.parametrize("xi,zp", ORACLE_GRID)
+    def test_f_tables_match_f_values(self, forms, xi, zp):
+        L = build_system(forms)
+        exact = build_lambda_system(L, xi, zp).lattice
+        flt = build_lambda_system(L, xi, zp, exact=False).lattice
+        assert list(exact.f) == [m for m, _ in support_elements(xi, zp)]
+        for m in exact.f:
+            f, fp = f_values(L, m)
+            assert (exact.f[m], exact.fp[m]) == (f, fp)
+            assert flt.f[m] == pytest.approx(float(f), rel=1e-15)
+            assert flt.fp[m] == pytest.approx(float(fp), rel=1e-15)
+
+    @pytest.mark.parametrize("forms", ORACLE_FORMS[:4])
+    @pytest.mark.parametrize("xi,zp", ORACLE_GRID)
+    def test_float_lambda_close_to_exact(self, forms, xi, zp):
+        L = build_system(forms)
+        exact = build_lambda_system(L, xi, zp).lam
+        flt = build_lambda_system(L, xi, zp, exact=False).lam
+        tol = 1e-12 * abs(float(exact[1]))
+        assert all(abs(flt[m] - float(v)) <= tol for m, v in exact.items())
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_rho_equals_p_is_a_pole_of_f_prime(self, exact):
+        with pytest.raises(DivisionByZero, match=r"^f'\(2\) = 0$"):
+            build_lambda_system(from_offsets([0, 1]), 10, 10, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_rho_zero_has_no_density(self, exact):
+        with pytest.raises(DensityZero, match=r"^rho\(2\) = 0$"):
+            build_lambda_system(build_system([[2, 1]]), 10, 10, exact=exact)
+
+
+class TestEnumerateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        inner = weights.support_elements
+
+        def counting(*args, **kwargs):
+            counter.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "support_elements", counting)
+        return counter
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_build_enumerates_once(self, calls, twin, exact):
+        u = math.log(60) / math.log(14)
+        for P in (None, SievePolynomial((1.0, 0.5), u + 1e-9)):
+            calls.clear()
+            S = build_lambda_system(twin, 60, 14, P=P, exact=exact)
+            assert len(calls) == 1
+            calls.clear()
+            build_lambda_system(twin, 60, 14, zeta=lambda m: S.zeta[m], exact=exact)
+            assert len(calls) == 1
+
+    def test_decompose_does_not_enumerate(self, calls, twin):
+        S = build_lambda_system(twin, 30, 12)
+        calls.clear()
+        dec = decompose(SieveInstance(twin, 300), RichertWeights(2.0, 4.0, 15.0), S)
+        assert dec.residual == 0
+        assert calls == []
 
 
 def G_oracle(L, r, z_prime):
