@@ -27,7 +27,7 @@ from .errors import (
     ZeroValue,
 )
 
-DEFAULT_TABLE_CAP = 200_000_000
+TABLE_CAP = 200_000_000
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -237,46 +237,34 @@ def f_values(L: LinearSystem, d: int) -> tuple[Fraction, Fraction]:
     return f, fp
 
 
-def V_product(L: LinearSystem, z: float, exact: bool = False,
-              tables: "ArithmeticTables | None" = None):
+def V_product(L: LinearSystem, z: float, exact: bool = False):
     """Singular product prod_{p<z} (1 - rho(p)/p).
 
     Strictly positive for admissible systems; raises ZeroFactor when some
     rho(p) = p.  Float by default, exact Fraction on request.
     """
-    primes = _primes_below(z, tables)
-    if exact:
-        out = Fraction(1)
-        for p in primes:
-            r = _rho_prime(L, int(p))
-            if r == p:
-                raise ZeroFactor(f"rho({p}) = {p}")
-            out *= Fraction(p - r, p)
-        return out
-    out = 1.0
-    for p in primes:
-        r = _rho_prime(L, int(p))
+    one = Fraction(1) if exact else 1.0
+    out = one
+    for p in _primes_below(z):
+        r = _rho_prime(L, p)
         if r == p:
             raise ZeroFactor(f"rho({p}) = {p}")
-        out *= 1.0 - r / p
+        out *= one - one * r / p
     return out
 
 
-def H_sum(L: LinearSystem, s: float,
-          tables: "ArithmeticTables | None" = None) -> tuple[float, float]:
+def H_sum(L: LinearSystem, s: float) -> tuple[float, float]:
     """Weighted Mertens sum sum_{p<s} rho(p) log(p)/p.
 
     Returns (value, residual) where residual = value - kappa*log(s);
     the residual stays O(1) because rho(p) = kappa for all but finitely
     many primes.
     """
-    primes = _primes_below(s, tables)
-    value = math.fsum(_rho_prime(L, int(p)) * math.log(p) / p for p in primes)
+    value = math.fsum(_rho_prime(L, p) * math.log(p) / p for p in _primes_below(s))
     return value, value - L.kappa * math.log(s)
 
 
-def omega_L(L: LinearSystem, n: int,
-            tables: "ArithmeticTables | None" = None) -> int:
+def omega_L(L: LinearSystem, n: int) -> int:
     """Omega(|L(n)|): prime factors of the product counted with
     multiplicity.  Raises ZeroValue when a form vanishes at n."""
     total = 0
@@ -284,24 +272,15 @@ def omega_L(L: LinearSystem, n: int,
         v = a * n + b
         if v == 0:
             raise ZeroValue(f"form {a}*n+{b} vanishes at n={n}")
-        total += omega(abs(v), tables)
+        total += omega(abs(v))
     return total
 
 
-def omega(m: int, tables: "ArithmeticTables | None" = None) -> int:
+def omega(m: int) -> int:
     """Omega(m) for m >= 1, with multiplicity."""
     if m < 1:
         raise ValueError("omega needs a positive integer")
-    count = 0
-    if tables is not None and m <= tables.limit:
-        lpf = tables.least_prime_factor
-        while m > 1:
-            m //= int(lpf[m])
-            count += 1
-        return count
-    for _, e in factorize(m):
-        count += e
-    return count
+    return sum(e for _, e in factorize(m))
 
 
 # ----------------------------------------------------------------------
@@ -396,31 +375,15 @@ class ArithmeticTables:
     least_prime_factor: np.ndarray
     moebius: np.ndarray
 
-    def mu(self, d: int) -> int:
-        return int(self.moebius[d])
 
-    def is_squarefree(self, d: int) -> bool:
-        return self.moebius[d] != 0
-
-    def nu(self, d: int) -> int:
-        """Number of distinct prime factors, from the lpf table."""
-        count = 0
-        lpf = self.least_prime_factor
-        while d > 1:
-            p = int(lpf[d])
-            count += 1
-            while d % p == 0:
-                d //= p
-        return count
-
-
-def arithmetic_tables(limit: int, cap: int = DEFAULT_TABLE_CAP) -> ArithmeticTables:
-    """Sieve primes, least prime factors and Moebius values up to limit."""
+def arithmetic_tables(limit: int) -> ArithmeticTables:
+    """Sieve primes, least prime factors and Moebius values up to limit;
+    LimitTooLarge above TABLE_CAP."""
     limit = int(limit)
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if limit > cap:
-        raise LimitTooLarge(f"limit {limit} exceeds cap {cap}")
+    if limit > TABLE_CAP:
+        raise LimitTooLarge(f"limit {limit} exceeds cap {TABLE_CAP}")
     lpf = np.zeros(limit + 1, dtype=np.int64)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
@@ -453,11 +416,9 @@ def _primes_upto_list(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
-def _primes_below(z: float, tables: "ArithmeticTables | None" = None):
+def _primes_below(z: float) -> tuple[int, ...]:
     """Primes strictly below z."""
     if z <= 2:
         return ()
     hi = int(math.ceil(z)) - 1 if float(z).is_integer() else int(math.floor(z))
-    if tables is not None and tables.limit >= hi:
-        return tuple(int(p) for p in tables.primes[tables.primes <= hi])
-    return tuple(p for p in _primes_upto_list(hi))
+    return _primes_upto_list(hi)

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .delay_ode import EULER_GAMMA, JFunction, solve_j
@@ -159,31 +158,24 @@ class BoundRow:
 
 
 def table(kappas, numeric: bool = True, slack: float = 0.0,
-          dde_cap: int = DDE_KAPPA_CAP, atol: float = 1e-8,
-          threads: int = 1) -> list[BoundRow]:
+          atol: float = 1e-8) -> list[BoundRow]:
     """One BoundRow per kappa, ordered by kappa.  The numeric column is
-    omitted (with a reason) beyond the DDE cap.  Rows are independent;
-    ``threads`` parallelizes across kappa with output order fixed."""
-
-    def one_row(kappa: int) -> BoundRow:
+    omitted (with a reason) above DDE_KAPPA_CAP."""
+    rows = []
+    for kappa in sorted(set(int(k) for k in kappas)):
         t1, t2, t3 = explicit_terms(kappa)
         r_exp = r_bound_explicit(kappa, slack=slack)
         r_num = None
         margin = None
         note = ""
-        if numeric and kappa <= dde_cap:
+        if numeric and kappa <= DDE_KAPPA_CAP:
             nb = r_bound_numeric(kappa, atol=atol)
             r_num = nb.r
             margin = nb.margin(nb.r)
         elif numeric:
-            note = f"numeric column needs kappa <= {dde_cap}"
-        return BoundRow(kappa, r_exp, r_num, t1, t2, t3, margin, note)
-
-    ks = sorted(set(int(k) for k in kappas))
-    if threads <= 1:
-        return [one_row(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_row, ks))
+            note = f"numeric column needs kappa <= {DDE_KAPPA_CAP}"
+        rows.append(BoundRow(kappa, r_exp, r_num, t1, t2, t3, margin, note))
+    return rows
 
 
 def table_to_csv(rows) -> str:

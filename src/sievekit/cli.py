@@ -115,7 +115,7 @@ def cmd_identity(args) -> int:
     S = weights_mod.build_lambda_system(L, args.xi, args.zp, P=P, exact=args.exact)
     W = weights_mod.RichertWeights(b=args.b, y=args.y, z=args.z)
     inst = weights_mod.SieveInstance(L, args.x)
-    dec = weights_mod.decompose(inst, W, S, exact=args.exact)
+    dec = weights_mod.decompose(inst, W, S)
     payload = {
         "tuple": L.label(), "x": args.x, "z": args.z, "z_prime": args.zp,
         "xi": args.xi, "b": args.b, "y": args.y, "mode": dec.mode,
@@ -204,8 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "products of linear forms.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+    # identity and params always write JSON, so only the table commands
+    # take --format
+    def common(p, formats=True):
+        if formats:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", default="-", help="output path ('-' = stdout)")
 
     p = sub.add_parser("jfun", help="solve the delay ODE and dump a grid")
@@ -245,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, default=3.0)
     p.add_argument("--poly", default=None,
                    help="comma-separated ascending coefficients of P")
-    p.add_argument("--exact", action="store_true")
-    common(p)
+    p.add_argument("--exact", action="store_true",
+                   help="exact rational lambda system (residual exactly 0)")
+    common(p, formats=False)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("search", help="Omega histogram / almost-prime counts")
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=None)
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_params)
     return ap
 

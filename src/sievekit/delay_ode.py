@@ -42,6 +42,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 MAX_DEGREE = 256
 # g(w_max) ~ exp((gamma-1)*kappa) underflows doubles near kappa ~ 1700.
 MAX_KAPPA = 1500
+TAIL_GRID = 512
 
 _LOG_TINY = -745.0
 
@@ -344,16 +345,17 @@ class TailReport:
     n_checked: int
 
 
-def tail_check(J: JFunction, u: float, n_grid: int = 512) -> TailReport:
-    """Verify the tail inequality j(u-w) <= exp(-w^2/kappa) on a grid
-    over (kappa^(3/5), u].  max_violation <= 0 means no violation."""
+def tail_check(J: JFunction, u: float) -> TailReport:
+    """Verify the tail inequality j(u-w) <= exp(-w^2/kappa) on TAIL_GRID
+    equal steps over (kappa^(3/5), u].  max_violation <= 0 means no
+    violation."""
     if u > J.w_max * (1.0 + 1e-12):
         raise OutOfRange("u beyond solved range")
     k = J.kappa
     lo = k ** 0.6
     if lo >= u:
         return TailReport(-math.inf, None, 0)
-    ws = np.linspace(lo, u, n_grid + 1)[1:]
+    ws = np.linspace(lo, u, TAIL_GRID + 1)[1:]
     worst = -math.inf
     worst_w = None
     for w in ws:

@@ -33,6 +33,8 @@ from scipy import integrate
 from .delay_ode import JFunction, SaddleParams, saddle_j_prime, solve_j
 from .errors import DomainError, PoleError, QuadratureFailure
 
+RANGE_GRID = 4001
+
 # ----------------------------------------------------------------------
 # special functions
 
@@ -102,8 +104,9 @@ class SievePolynomial:
     def star(self, w: float) -> float:
         return 0.0 if w < 0 else self(w)
 
-    def range_on_domain(self, n: int = 4001) -> tuple[float, float]:
-        ws = np.linspace(0.0, self.u, n)
+    def range_on_domain(self) -> tuple[float, float]:
+        """(min, max) of P on RANGE_GRID equally spaced points of [0, u]."""
+        ws = np.linspace(0.0, self.u, RANGE_GRID)
         vals = np.polynomial.polynomial.polyval(ws, np.asarray(self.coef))
         return float(np.min(vals)), float(np.max(vals))
 

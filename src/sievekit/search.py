@@ -24,7 +24,7 @@ import numpy as np
 from .arithmetic import LinearSystem, arithmetic_tables
 from .errors import BudgetExceeded, Int64Overflow
 
-DEFAULT_X_CAP = 100_000_000
+X_CAP = 100_000_000
 DEFAULT_SEGMENT = 1 << 17
 _INT64_LIMIT = 1 << 63
 
@@ -88,18 +88,19 @@ def _segment_histogram(L: LinearSystem, lo: int, hi: int, classes):
 
 
 def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
-                  threads: int = 1, x_cap: int = DEFAULT_X_CAP) -> OmegaHistogram:
+                  threads: int = 1) -> OmegaHistogram:
     """Exact histogram of Omega(L(n)) over 1 <= n <= x.
 
     Deterministic regardless of segment size or thread count: segment
     results are integer counters merged by addition.  Raises
-    Int64Overflow when a*n or a*n + b leaves the signed 64-bit range.
+    BudgetExceeded when x > X_CAP and Int64Overflow when a*n or a*n + b
+    leaves the signed 64-bit range.
     """
     x = int(x)
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x > x_cap:
-        raise BudgetExceeded(f"x = {x} above cap {x_cap}")
+    if x > X_CAP:
+        raise BudgetExceeded(f"x = {x} above cap {X_CAP}")
     if x == 0:
         return OmegaHistogram(L, 0, {}, 0)
     # |a*n + b| on 1 <= n <= x is largest at an end

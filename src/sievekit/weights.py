@@ -40,7 +40,6 @@ from .arithmetic import (
     _rho_prime,
     f_values,
     is_prime,
-    rho,
     roots_mod_squarefree,
     V_product,
 )
@@ -56,6 +55,7 @@ from .moments import SievePolynomial
 
 SUPPORT_NODE_BUDGET = 10_000_000
 GSUM_WORK_BUDGET = 100_000_000
+DECOMPOSE_X_CAP = 1_000_000
 
 
 # ----------------------------------------------------------------------
@@ -140,8 +140,10 @@ class SupportLattice:
 class LambdaSystem:
     """zeta/lambda weight pair over the squarefree support.
 
-    Values are Fractions in exact mode, floats otherwise.  lambda_1 != 0
-    is required; normalized() returns lambda'_nu = lambda_nu / lambda_1.
+    Values are Fractions in exact mode, floats otherwise; the mode also
+    fixes the arithmetic of s_main, e_error, weighted_sum_direct and
+    decompose on this system.  lambda_1 != 0 is required; normalized()
+    returns lambda'_nu = lambda_nu / lambda_1.
     """
 
     L: LinearSystem
@@ -336,19 +338,24 @@ class SieveInstance:
 
     def count_multiples(self, d: int) -> int:
         """|A_d| = #{n <= x : L(n) = 0 mod d}, counted by residue class."""
-        if d == 1:
-            return self.x
-        total = 0
-        for c in roots_mod_squarefree(self.L, d):
-            if c == 0:
-                total += self.x // d
-            elif c <= self.x:
-                total += (self.x - c) // d + 1
-        return total
+        return _count_in_classes(self.x, d, roots_mod_squarefree(self.L, d))
 
     def remainder(self, d: int) -> Fraction:
-        """Exact R_d = |A_d| - x*rho(d)/d."""
-        return self.count_multiples(d) - Fraction(self.x * rho(self.L, d), d)
+        """Exact R_d = |A_d| - x*rho(d)/d, with rho(d) the number of roots
+        mod d (squarefree d), so the roots are enumerated once."""
+        roots = roots_mod_squarefree(self.L, d)
+        return _count_in_classes(self.x, d, roots) - Fraction(self.x * len(roots), d)
+
+
+def _count_in_classes(x: int, d: int, roots) -> int:
+    """#{1 <= n <= x : n = c mod d for some c in roots}, 0 <= c < d."""
+    total = 0
+    for c in roots:
+        if c == 0:
+            total += x // d
+        elif c <= x:
+            total += (x - c) // d + 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -373,20 +380,24 @@ def _richert_weights(W: RichertWeights, exact: bool) -> dict:
     return {d: _exact_weight(v) if exact else v for d, v in a.items() if v != 0.0}
 
 
-def s_main(inst_or_L, W: RichertWeights, S: LambdaSystem,
-           exact: bool = True, relaxed: bool = False):
+def _total(S: LambdaSystem, terms):
+    """Sum of terms in the arithmetic of S: an exact Fraction sum in
+    exact mode, math.fsum otherwise."""
+    return sum(terms, Fraction(0)) if S.exact else math.fsum(terms)
+
+
+def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     """Main term: sum over support m and d in {1} u {primes < z},
     (d, m) = 1 unless relaxed, of  (1/f'(m)) (a_d/f(d))
-    (sum_{r|d} mu(r) zeta_{rm})^2.
+    (sum_{r|d} mu(r) zeta_{rm})^2, for the system S.L, exact or float
+    as S is.
 
     The relaxed variant drops the coprimality condition; with Richert
     weights the dropped terms are non-positive, so relaxed <= strict."""
-    L = inst_or_L.L if isinstance(inst_or_L, SieveInstance) else inst_or_L
     zeta = S.zeta
-    zero = Fraction(0) if exact else 0.0
-    a_vals = _richert_weights(W, exact)
+    a_vals = _richert_weights(W, S.exact)
     # a_p / f(p); in float mode the division converts f(p) to float
-    a_over_f = {p: a / f_values(L, p)[0] for p, a in a_vals.items() if p > 1}
+    a_over_f = {p: a / f_values(S.L, p)[0] for p, a in a_vals.items() if p > 1}
     terms = []
     for m, fpm in S.lattice.fp.items():
         zm = zeta[m]
@@ -398,49 +409,46 @@ def s_main(inst_or_L, W: RichertWeights, S: LambdaSystem,
             if relaxed and m % p == 0:
                 inner = zm  # zeta_{pm} vanishes: pm is not squarefree
             else:
-                inner = zm - zeta.get(p * m, zero)
+                # 0 takes the type of zm
+                inner = zm - zeta.get(p * m, 0)
             terms.append(a_f * inner * inner / fpm)
-    if exact:
-        return sum(terms, Fraction(0))
-    return math.fsum(terms)
+    return _total(S, terms)
 
 
-def e_error(inst: SieveInstance, W: RichertWeights, S: LambdaSystem,
-            exact: bool = True, budget: int = SUPPORT_NODE_BUDGET):
+def e_error(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):
     """Remainder term sum_{d, nu1, nu2} a_d lambda_nu1 lambda_nu2
-    R_[d,nu1,nu2], grouped by the joint modulus m = [d, nu1, nu2]."""
-    d_list = list(_richert_weights(W, exact).items())
+    R_[d,nu1,nu2], exact or float as S is, grouped by the joint modulus
+    m = [d, nu1, nu2].  The summand is symmetric in (nu1, nu2), so each
+    unordered pair is visited once with weight 2 when nu1 != nu2."""
+    d_list = list(_richert_weights(W, S.exact).items())
     lam = S.lam
     support = S.support
-    if len(support) ** 2 * len(d_list) > budget:
+    if len(support) ** 2 * len(d_list) > SUPPORT_NODE_BUDGET:
         raise BudgetExceeded("error-term triple sum above budget")
     coeff = {}
-    zero = Fraction(0) if exact else 0.0
-    for n1 in support:
+    for i, n1 in enumerate(support):
         l1 = lam[n1]
-        for n2 in support:
-            l12 = l1 * lam[n2]
+        l1x2 = 2 * l1
+        for n2 in support[i:]:
+            l12 = (l1 if n2 == n1 else l1x2) * lam[n2]
             nn = n1 * n2 // math.gcd(n1, n2)
             for d, a in d_list:
                 m = nn if nn % d == 0 else nn * d
-                coeff[m] = coeff.get(m, zero) + a * l12
+                coeff[m] = coeff.get(m, 0) + a * l12
     terms = []
     for m, cval in sorted(coeff.items()):
         rm = inst.remainder(m)
-        terms.append(cval * (rm if exact else float(rm)))
-    if exact:
-        return sum(terms, Fraction(0))
-    return math.fsum(terms)
+        terms.append(cval * (rm if S.exact else float(rm)))
+    return _total(S, terms)
 
 
-def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem,
-                        exact: bool = True):
-    """Left side by exhaustive enumeration over n <= x."""
+def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):
+    """Left side by exhaustive enumeration over n <= x, exact or float
+    as S is."""
     L = inst.L
-    (_, b), *primes_z = _richert_weights(W, exact).items()
+    (_, b), *primes_z = _richert_weights(W, S.exact).items()
     lam = S.lam
     support = S.support
-    zero = Fraction(0) if exact else 0.0
     terms = []
     for n in range(1, inst.x + 1):
         v = L.value(n)
@@ -449,31 +457,34 @@ def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem,
         for p, ap in primes_z:
             if av % p == 0:
                 a_sum = a_sum + ap
-        l_sum = zero
+        # nu = 1 always divides, so l_sum takes the type of lambda
+        l_sum = 0
         for nu in support:
             if av % nu == 0:
                 l_sum = l_sum + lam[nu]
         terms.append(a_sum * l_sum * l_sum)
-    if exact:
-        return sum(terms, Fraction(0))
-    return math.fsum(terms)
+    return _total(S, terms)
 
 
-def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem,
-              exact: bool = True, x_cap: int = 1_000_000) -> Decomposition:
+def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem) -> Decomposition:
     """Evaluate both sides of the sieve identity on a concrete instance.
 
     Returns (lhs, main, error, residual) with residual =
-    lhs - (x*main + error); exactly zero in exact mode."""
-    if inst.x > x_cap:
-        raise BudgetExceeded(f"x = {inst.x} above enumeration cap {x_cap}")
+    lhs - (x*main + error).  The lambda system fixes the mode: an exact
+    system gives Fractions and a residual of exactly zero, a float system
+    floats.  DomainError when inst and S are over different systems or
+    z' > z; BudgetExceeded when x > DECOMPOSE_X_CAP."""
+    if inst.x > DECOMPOSE_X_CAP:
+        raise BudgetExceeded(f"x = {inst.x} above enumeration cap {DECOMPOSE_X_CAP}")
+    if inst.L != S.L:
+        raise DomainError("instance and lambda system are over different systems")
     if S.z_prime > W.z:
         raise DomainError("need z' <= z")
-    lhs = weighted_sum_direct(inst, W, S, exact=exact)
-    main = s_main(inst, W, S, exact=exact)
-    err = e_error(inst, W, S, exact=exact)
+    lhs = weighted_sum_direct(inst, W, S)
+    main = s_main(W, S)
+    err = e_error(inst, W, S)
     residual = lhs - (inst.x * main + err)
-    return Decomposition(lhs, main, err, residual, "exact" if exact else "float")
+    return Decomposition(lhs, main, err, residual, "exact" if S.exact else "float")
 
 
 def error_bound_analytic(L: LinearSystem, z: float, xi: float) -> float:

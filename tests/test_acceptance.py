@@ -120,7 +120,7 @@ def test_criterion_5_exact_identity():
         else:
             S = build_lambda_system(L, xi, zp)
         W = RichertWeights(b=b, y=y, z=float(z))
-        dec = decompose(SieveInstance(L, x), W, S, exact=True)
+        dec = decompose(SieveInstance(L, x), W, S)
         all_zero = all_zero and dec.residual == 0
     elapsed = time.perf_counter() - t0
     ok = all_zero and elapsed < 60.0

@@ -194,12 +194,12 @@ class TestVProduct:
         with pytest.raises(ZeroFactor):
             V_product(L, 5)
 
-    def test_log_power_bound(self, tables_10k):
+    def test_log_power_bound(self):
         # calibrated once: max of 1/(V log^k z) stays below 3 on the grid
         for offs in ([0], [0, 2], [0, 2, 6]):
             L = from_offsets(offs)
             for z in (10, 100, 1000, 10_000):
-                v = V_product(L, z, tables=tables_10k)
+                v = V_product(L, z)
                 assert 1.0 / v <= 3.0 * math.log(z) ** L.kappa
 
 
@@ -213,8 +213,8 @@ class TestHSum:
     def test_empty(self, tuple_n):
         assert H_sum(tuple_n, 2) == (0.0, pytest.approx(-math.log(2)))
 
-    def test_twin_residual_bounded(self, twin, tables_10k):
-        val, res = H_sum(twin, 1000, tables=tables_10k)
+    def test_twin_residual_bounded(self, twin):
+        val, res = H_sum(twin, 1000)
         assert abs(res) < 4.0
         assert res == pytest.approx(-2.9431, abs=1e-3)
 
@@ -230,7 +230,7 @@ class TestOmegaL:
         with pytest.raises(ZeroValue):
             omega_L(L, 3)
 
-    def test_against_naive(self, twin, tables_10k):
+    def test_against_naive(self, twin):
         def naive(m):
             c = 0
             d = 2
@@ -241,15 +241,15 @@ class TestOmegaL:
                 d += 1
             return c + (1 if m > 1 else 0)
         for n in range(1, 400):
-            assert omega_L(twin, n, tables=tables_10k) == naive(n) + naive(n + 2)
+            assert omega_L(twin, n) == naive(n) + naive(n + 2)
 
 
 class TestTables:
     def test_hand_table(self):
         t = arithmetic_tables(10)
         assert list(t.primes) == [2, 3, 5, 7]
-        assert t.mu(6) == 1
-        assert t.mu(4) == 0
+        assert t.moebius[6] == 1
+        assert t.moebius[4] == 0
 
     def test_minimal(self):
         assert list(arithmetic_tables(2).primes) == [2]
@@ -257,7 +257,7 @@ class TestTables:
     def test_lpf_and_nu(self):
         t = arithmetic_tables(30)
         assert t.least_prime_factor[30] == 2
-        assert t.nu(30) == 3
+        assert t.moebius[30] == -1   # three prime factors
 
     def test_invariants(self, tables_10k):
         t = tables_10k
@@ -266,7 +266,7 @@ class TestTables:
         # mu(d) = 0 iff a square divides d
         for d in range(2, 500):
             sqfree = all(e == 1 for _, e in factorize(d))
-            assert (t.mu(d) != 0) == sqfree
+            assert (t.moebius[d] != 0) == sqfree
 
     def test_cap(self):
         with pytest.raises(LimitTooLarge):

@@ -171,7 +171,7 @@ class TestTable:
         assert row.term_half_klogk == pytest.approx(230.2585, abs=1e-3)
 
     def test_numeric_cap_marker(self):
-        row = table([150], numeric=True, dde_cap=120)[0]
+        row = table([150], numeric=True)[0]
         assert row.r_numeric is None
         assert "120" in row.note
 
@@ -182,7 +182,3 @@ class TestTable:
         assert len(text.splitlines()) == 3
         data = json.loads(table_to_json(rows))
         assert data[0]["kappa"] == 10
-
-    def test_threaded_rows_identical(self, jfun):
-        ks = [5, 8, 11]
-        assert table(ks, threads=3) == table(ks)

@@ -388,6 +388,18 @@ class TestInstance:
         for d, _ in support_elements(40, 20):
             assert abs(inst.remainder(d)) <= rho(twin, d)
 
+    @pytest.mark.parametrize("forms", [[[1, 0], [1, 2], [1, 6]], [[3, 1], [5, -2]]])
+    @pytest.mark.parametrize("x", [1, 37, 1000])
+    def test_remainder_matches_enumeration(self, forms, x):
+        # every support modulus d of (xi, z') = (2000, 30): |A_d| by a
+        # direct count over n <= x, rho(d) by brute_rho
+        L = build_system(forms)
+        inst = SieveInstance(L, x)
+        for d, _ in support_elements(2000, 30):
+            count = sum(1 for n in range(1, x + 1) if L.value(n) % d == 0)
+            assert inst.count_multiples(d) == count
+            assert inst.remainder(d) == count - Fraction(x * brute_rho(L, d), d)
+
     def test_remainder_hand_values(self, tuple_n):
         inst = SieveInstance(tuple_n, 100)
         assert inst.remainder(3) == Fraction(-1, 3)   # 33 - 100/3
@@ -406,8 +418,27 @@ class TestDecompose:
     def test_float_mode_residual_small(self, tuple_n):
         W = RichertWeights(b=3.0, y=3.0, z=10.0)
         S = build_lambda_system(tuple_n, 10, 10, exact=False)
-        dec = decompose(SieveInstance(tuple_n, 100), W, S, exact=False)
+        dec = decompose(SieveInstance(tuple_n, 100), W, S)
         assert abs(dec.residual) <= 1e-6 * abs(dec.lhs)
+
+    def test_mode_follows_lambda_system(self, twin):
+        W = RichertWeights(b=3.0, y=3.0, z=20.0)
+        inst = SieveInstance(twin, 500)
+        flt = decompose(inst, W, build_lambda_system(twin, 60, 20, exact=False))
+        assert flt.mode == "float"
+        assert all(isinstance(v, float)
+                   for v in (flt.lhs, flt.main, flt.error, flt.residual))
+        assert abs(flt.residual) <= 1e-12 * abs(flt.lhs)
+        ex = decompose(inst, W, build_lambda_system(twin, 60, 20))
+        assert ex.mode == "exact"
+        assert isinstance(ex.residual, Fraction) and ex.residual == 0
+        assert flt.lhs == pytest.approx(float(ex.lhs), rel=1e-12)
+
+    def test_instance_over_another_system(self, tuple_n, twin):
+        W = RichertWeights(b=3.0, y=3.0, z=20.0)
+        S = build_lambda_system(twin, 60, 20)
+        with pytest.raises(DomainError):
+            decompose(SieveInstance(tuple_n, 500), W, S)
 
     def test_degenerate_supports(self, tuple_n):
         # lambda on {1} only, a on {1} only
@@ -475,7 +506,7 @@ class TestMainTermForms:
         # dropping (d, m) = 1 only adds non-positive terms
         W = RichertWeights(b=2.0, y=4.0, z=15.0)
         S = build_lambda_system(twin, 20, 10)
-        assert s_main(twin, W, S, relaxed=True) <= s_main(twin, W, S)
+        assert s_main(W, S, relaxed=True) <= s_main(W, S)
 
 
 class TestErrorBound:
