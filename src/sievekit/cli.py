@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -58,6 +57,8 @@ def _fmt(v):
 
 
 def cmd_jfun(args) -> int:
+    if args.grid < 1:
+        raise ValueError("--grid must be >= 1")
     J = solve_j(args.kappa, args.w_max, tol=args.tol, degree=args.degree,
                 cache_dir=args.cache)
     n = args.grid
@@ -79,10 +80,6 @@ def cmd_jfun(args) -> int:
 def cmd_moments(args) -> int:
     kappas = _parse_range(args.kappa)
     rows = moments_mod.moment_table(kappas, atol=args.atol)
-    if args.fixtures:
-        return _fixture_io(args.fixtures, "moments.json",
-                           {f"{r.kappa}:{r.quantity}": r.value for r in rows},
-                           rtol=50 * args.atol)
     if args.format == "json":
         _write_output(json.dumps([r.__dict__ for r in rows], indent=1) + "\n",
                       args.output)
@@ -95,9 +92,6 @@ def cmd_bound(args) -> int:
     kappas = _parse_range(args.kappa)
     rows = bounds_mod.table(kappas, numeric=not args.no_numeric,
                             slack=args.slack, atol=args.atol)
-    if args.fixtures:
-        return _fixture_io(args.fixtures, "bound.json",
-                           {str(r.kappa): r.r_explicit for r in rows}, rtol=0.0)
     if args.format == "json":
         _write_output(bounds_mod.table_to_json(rows) + "\n", args.output)
     else:
@@ -170,33 +164,6 @@ def _parse_range(spec: str):
     return [int(p) for p in spec.split(",")]
 
 
-def _fixture_io(dirpath, name, values: dict, rtol: float) -> int:
-    """Emit fixtures on first run, check against them afterwards."""
-    os.makedirs(dirpath, exist_ok=True)
-    path = os.path.join(dirpath, name)
-    if not os.path.exists(path):
-        with open(path, "w") as fh:
-            json.dump(values, fh, indent=1, sort_keys=True)
-        sys.stderr.write(f"wrote fixture {path}\n")
-        return 0
-    with open(path) as fh:
-        ref = json.load(fh)
-    bad = []
-    for key, val in values.items():
-        if key not in ref:
-            bad.append(f"{key}: missing from fixture")
-        elif abs(val - ref[key]) > rtol * max(abs(val), 1.0):
-            bad.append(f"{key}: {val} != {ref[key]}")
-    for key in ref:
-        if key not in values:
-            bad.append(f"{key}: not recomputed")
-    if bad:
-        sys.stderr.write("fixture mismatch:\n" + "\n".join(bad) + "\n")
-        return 3
-    sys.stderr.write(f"fixture {path} ok\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sievekit",
@@ -224,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment integral / ratio tables")
     p.add_argument("--kappa", default="10,20,40", help="value, list or lo:hi:step")
     p.add_argument("--atol", type=float, default=1e-8)
-    p.add_argument("--fixtures", default=None, help="emit/check fixture directory")
     common(p)
     p.set_defaults(func=cmd_moments)
 
@@ -234,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit-bound slack coefficient of log(kappa)")
     p.add_argument("--no-numeric", action="store_true")
     p.add_argument("--atol", type=float, default=1e-8)
-    p.add_argument("--fixtures", default=None)
     common(p)
     p.set_defaults(func=cmd_bound)
 

@@ -12,8 +12,11 @@ with closed asymptotic forms at u = kappa - 1/9:
     J1(1) = sqrt(kappa/pi)/2 - 1/18 + O(1/sqrt(kappa))
     J2(0) = log(kappa)/4 + digamma(1/2)/4 - 1/(9 sqrt(pi kappa)) + O(log k/k)
 
-Quadrature subdivides at the knots u - m where j' loses smoothness, and
-the integrable log singularity at w = 0 gets a closed-form local patch.
+Every one of these integrals, and every main-term integral, is
+int_0^u c(w) (log w)^(0 or 1) j'(u-w) dw with c a polynomial, and goes
+through one quadrature routine.  It subdivides at the knots u - m where
+j' loses smoothness, and integrates the log singularity at w = 0 with
+QUADPACK's log-weighted rule (QAWS) on the first piece.
 The O-term constants are not specified by the source asymptotics; the
 envelopes reported here carry constants calibrated once in the test
 fixtures.
@@ -115,44 +118,43 @@ class SievePolynomial:
 # quadrature helpers
 
 
-def _quad(f, a, b, epsabs, epsrel=1e-11, limit=200):
+_EPSREL = 1e-11
+_LIMIT = 200
+
+
+def _quad(f, a, b, epsabs, **weight):
     val, err, info, *rest = integrate.quad(
-        f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+        f, a, b, epsabs=epsabs, epsrel=_EPSREL, limit=_LIMIT, full_output=1, **weight)
     if rest:
         raise QuadratureFailure(f"quad on [{a},{b}]: {rest[0]}")
     return val
 
 
-def _knots_in(a, b, u):
-    """Knots w = u - m interior to (a, b), where j' loses smoothness."""
-    ks = []
-    m = 0
-    while u - m > a:
-        w = u - m
-        if a < w < b:
-            ks.append(w)
-        m += 1
-    return sorted(ks)
+def _integral(jp, u, upper, coef, atol, log=False):
+    """int_0^upper c(w) (log w if ``log``) j'(u - w) dw, with c given by its
+    ascending monomial coefficients ``coef``.
 
+    The range is split at the knots u - m where j' loses smoothness.  With
+    ``log`` the first piece takes log(w) as the weight of QUADPACK's
+    endpoint-singularity rule (QAWS), so the integrand it samples stays
+    smooth at w = 0; the other pieces multiply by log(w)."""
+    rev = [float(a) for a in reversed(coef)]
 
-def _integrate_smooth(f, a, b, u, atol):
-    """Integrate f over [a, b] subdividing at the DDE knots u - m."""
-    pts = [a] + _knots_in(a, b, u) + [b]
-    per = atol / max(len(pts) - 1, 1)
-    return math.fsum(_quad(f, lo, hi, per) for lo, hi in zip(pts, pts[1:]))
+    def f(w):
+        c = 0.0
+        for a in rev:
+            c = c * w + a
+        return c * jp(u - w)
 
+    def f_log(w):
+        return math.log(w) * f(w)
 
-def _integrate_with_log(h, u, atol, delta=1e-5):
-    """int_0^u log(w) h(w) dw with h smooth: closed-form patch on [0, delta]
-    using a linear model of h, then knot-subdivided quadrature."""
-    delta = min(delta, u / 4.0)
-    h0 = h(0.0)
-    slope = (h(delta) - h0) / delta
-    # int_0^d w^n log w dw = d^(n+1) (log d/(n+1) - 1/(n+1)^2)
-    ld = math.log(delta)
-    head = h0 * delta * (ld - 1.0) + slope * delta ** 2 * (ld / 2.0 - 0.25)
-    tail = _integrate_smooth(lambda w: math.log(w) * h(w), delta, u, u, atol)
-    return head + tail
+    pts = [0.0] + sorted(u - m for m in range(math.ceil(u)) if u - m < upper) + [upper]
+    per = atol / (len(pts) - 1)
+    log_weight = {"weight": "alg-loga", "wvar": (0, 0)} if log else {}
+    parts = [_quad(f, 0.0, pts[1], per, **log_weight)]
+    parts += [_quad(f_log if log else f, lo, hi, per) for lo, hi in zip(pts[1:], pts[2:])]
+    return math.fsum(parts)
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +208,7 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
     if u is None:
         u = kappa - 1.0 / 9.0
     jp, upper = _jprime_factory(kappa, u, source, J)
-    f = (lambda w: jp(u - w)) if i == 0 else (lambda w: w * jp(u - w))
-    value = _integrate_smooth(f, 0.0, upper, u, atol)
+    value = _integral(jp, u, upper, [0.0] * i + [1.0], atol)
     asym = None
     env = None
     if _is_canonical_u(kappa, u):
@@ -224,15 +225,14 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
 def moment_J2(kappa: int, u: float | None = None, i: int = 0,
               source: str = "dde", J: JFunction | None = None,
               atol: float = 1e-8) -> MomentReport:
-    """J2(i) = int_0^u w^i log(w) j'(u-w) dw; integrable log singularity
-    at w = 0 handled by a closed-form local patch."""
+    """J2(i) = int_0^u w^i log(w) j'(u-w) dw; the integrable log
+    singularity at w = 0 goes to a log-weighted quadrature rule."""
     if i < 0:
         raise ValueError("i must be >= 0")
     if u is None:
         u = kappa - 1.0 / 9.0
     jp, upper = _jprime_factory(kappa, u, source, J)
-    h = (lambda w: jp(u - w)) if i == 0 else (lambda w: w ** i * jp(u - w))
-    value = _integrate_with_log(h, upper, atol)
+    value = _integral(jp, u, upper, [0.0] * i + [1.0], atol, log=True)
     asym = None
     env = None
     if i == 0 and _is_canonical_u(kappa, u):
@@ -301,31 +301,19 @@ def _inner_i2_coeffs(pcoef: np.ndarray, l: float) -> np.ndarray:
 
         int_0^w (P(w) - P(w-t))^2 (1 - t/l) dt / t,
 
-    exact polynomial algebra: expand P(w) - P(w-t) in powers of t with
-    polynomial-in-w coefficients, square, divide by t, integrate."""
-    deg = len(pcoef) - 1
-    if deg == 0:
-        return np.zeros(1)
-    # tfac[j] = coefficient of t^j in P(w) - P(w-t), a polynomial in w
-    tfac = [np.zeros(deg + 1) for _ in range(deg + 1)]
-    for m in range(deg + 1):
-        pm = pcoef[m]
-        if pm == 0.0:
-            continue
-        for j in range(1, m + 1):
-            # -(coeff of t^j in (w-t)^m) * pm = -pm*C(m,j)(-1)^j w^(m-j)
-            tfac[j][m - j] += -pm * math.comb(m, j) * (-1.0) ** j
-    out = np.zeros(2 * deg + 2)
-    for ji in range(1, deg + 1):
-        for jj in range(1, deg + 1):
-            k = ji + jj
-            s = np.polynomial.polynomial.polymul(tfac[ji], tfac[jj])
-            # term t^(k-1)(1 - t/l) integrates to w^k/k - w^(k+1)/((k+1) l)
-            a = np.zeros(k + len(s))
-            a[k:k + len(s)] += s / k
-            b = np.zeros(k + 1 + len(s))
-            b[k + 1:k + 1 + len(s)] += s / ((k + 1) * l)
-            out = np.polynomial.polynomial.polyadd(out, np.polynomial.polynomial.polysub(a, b))
+    exact polynomial algebra on the Taylor form P(w) - P(w-t) =
+    sum_{j>=1} d_j(w) t^j with d_j = -(-1)^j P^(j)(w)/j!: each term
+    t^(k-1) (1 - t/l) of the square over t integrates to
+    w^k/k - w^(k+1)/((k+1) l)."""
+    poly = np.polynomial.polynomial
+    d = [-(-1.0) ** j * poly.polyder(pcoef, j) / math.factorial(j)
+         for j in range(1, len(pcoef))]
+    out = np.zeros(1)
+    for i, di in enumerate(d, 1):
+        for j, dj in enumerate(d, 1):
+            k = i + j
+            kernel = np.r_[np.zeros(k), 1.0 / k, -1.0 / ((k + 1) * l)]
+            out = poly.polyadd(out, poly.polymul(poly.polymul(di, dj), kernel))
     return out
 
 
@@ -346,21 +334,15 @@ def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
     if J is None:
         J = solve_j(kappa, max(u, 1.0))
     jp = J.j_prime
+    poly = np.polynomial.polynomial
+    p2 = poly.polymul(P.coef, P.coef)
 
-    i1 = _integrate_smooth(lambda w: P(w) ** 2 * jp(u - w), 0.0, u, u, atol)
-
+    i1 = _integral(jp, u, u, p2, atol)
     inner = _inner_i2_coeffs(np.asarray(P.coef, dtype=float), l)
-    if np.any(inner != 0.0):
-        i2 = _integrate_smooth(
-            lambda w: float(np.polynomial.polynomial.polyval(w, inner)) * jp(u - w),
-            0.0, u, u, atol)
-    else:
-        i2 = 0.0
-
-    log_l = math.log(l)
-    smooth = _integrate_smooth(
-        lambda w: P(w) ** 2 * (log_l - 1.0 + w / l) * jp(u - w), 0.0, u, u, atol)
-    singular = _integrate_with_log(lambda w: P(w) ** 2 * jp(u - w), u, atol)
+    i2 = _integral(jp, u, u, inner, atol) if np.any(inner != 0.0) else 0.0
+    # log(l/w) - 1 + w/l = (log l - 1 + w/l) - log w
+    smooth = _integral(jp, u, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]), atol)
+    singular = _integral(jp, u, u, p2, atol, log=True)
     return MainIntegrals(i1, i2, smooth - singular)
 
 
@@ -372,7 +354,7 @@ def moment_table(kappas, atol: float = 1e-8) -> list[MomentReport]:
     """J1(0), J1(1), J2(0) reports at u = kappa - 1/9 for each kappa."""
     rows = []
     for k in kappas:
-        J = solve_j(k, k - 1.0 / 9.0)
+        J = solve_j(k, max(k - 1.0 / 9.0, 1.0))
         rows.append(moment_J1(k, i=0, J=J, atol=atol))
         rows.append(moment_J1(k, i=1, J=J, atol=atol))
         rows.append(moment_J2(k, i=0, J=J, atol=atol))

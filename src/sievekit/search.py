@@ -94,11 +94,14 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     Deterministic regardless of segment size or thread count: segment
     results are integer counters merged by addition.  Raises
     BudgetExceeded when x > X_CAP and Int64Overflow when a*n or a*n + b
-    leaves the signed 64-bit range.
+    leaves the signed 64-bit range; ValueError when x < 0 or
+    segment_size < 1.
     """
     x = int(x)
     if x < 0:
         raise ValueError("x must be >= 0")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
     if x > X_CAP:
         raise BudgetExceeded(f"x = {x} above cap {X_CAP}")
     if x == 0:

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from sievekit import search
 from sievekit.cli import main
+from sievekit.delay_ode import EULER_GAMMA
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,25 @@ class TestSearch:
                        '"count": 19316, "r": 4, "ratio": 25.602865975500183, '
                        '"x": 100000}\n')
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_segment_size_below_one_exit_2(self, capsys, size):
+        code, out, err = run_cli(capsys, "search", "--tuple", "0,2", "--x", "100",
+                                 "--segment-size", size)
+        assert code == 2
+        assert out == ""
+        assert err == "error: segment_size must be >= 1\n"
+
+
+class TestMoments:
+    def test_kappa_one(self, capsys):
+        # j' = e^-gamma on (0, 1), so J1(0) at u = 8/9 is 8 e^-gamma / 9
+        code, out, _ = run_cli(capsys, "moments", "--kappa", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["quantity"] for r in rows] == ["J1(0)", "J1(1)", "J2(0)"]
+        assert rows[0]["value"] == pytest.approx(
+            math.exp(-EULER_GAMMA) * 8.0 / 9.0, abs=1e-12)
+
 
 class TestParamsAndJfun:
     def test_params_echo(self, capsys):
@@ -100,6 +121,13 @@ class TestParamsAndJfun:
         lines = out.strip().splitlines()
         assert lines[0] == "w,log_q,j,j_prime"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_jfun_grid_below_one_exit_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "jfun", "--kappa", "2", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --grid must be >= 1\n"
 
     def test_jfun_cache(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "jfun", "--kappa", "3", "--cache", str(tmp_path))
@@ -155,11 +183,3 @@ class TestContracts:
         assert code == 0
         assert out == ""
         assert path.read_text().splitlines()[1].startswith("100,502")
-
-    def test_fixture_emit_then_check(self, capsys, tmp_path):
-        code1, *_ = run_cli(capsys, "bound", "--kappa", "10,20",
-                            "--no-numeric", "--fixtures", str(tmp_path))
-        code2, *_ = run_cli(capsys, "bound", "--kappa", "10,20",
-                            "--no-numeric", "--fixtures", str(tmp_path))
-        assert code1 == 0 and code2 == 0
-        assert (tmp_path / "bound.json").exists()

@@ -1,9 +1,10 @@
 import math
 
+import mpmath as mp
 import pytest
 from scipy import integrate
 
-from sievekit.delay_ode import EULER_GAMMA
+from sievekit.delay_ode import EULER_GAMMA, solve_j
 from sievekit.errors import DomainError, PoleError
 from sievekit.moments import (
     SievePolynomial,
@@ -224,6 +225,59 @@ class TestMainIntegrals:
     def test_domain_check(self, jfun):
         with pytest.raises(DomainError):
             main_integrals(6, 6 - 1.0 / 9.0, 2.0, SievePolynomial.one(6.0), J=jfun(6))
+
+
+class TestMpmathReference:
+    """kappa = 1, u = 1.9: j'(v) = e^-gamma on (0, 1) and
+    e^-gamma (1 - log v) on (1, 2], so every integral has a 30-digit
+    mpmath value, split at the knot w = u - 1 = 0.9."""
+
+    U, L = 1.9, 4.0
+    PCOEF = (1.0, 0.25)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with mp.workdps(30):
+            u, l = mp.mpf(self.U), mp.mpf(self.L)
+            c1 = mp.exp(-mp.euler)
+
+            def jp(v):
+                return c1 if v <= 1 else c1 * (1 - mp.log(v))
+
+            def integral(c):
+                return mp.quad(lambda w: c(w) * jp(u - w), [0, u - 1, u])
+
+            def P(w):
+                return self.PCOEF[0] + self.PCOEF[1] * w
+
+            def inner(w):
+                return mp.quad(lambda t: (P(w) - P(w - t)) ** 2 * (1 - t / l) / t, [0, w])
+
+            return {k: float(v) for k, v in {
+                "J1(0)": integral(lambda w: 1),
+                "J1(1)": integral(lambda w: w),
+                "J2(0)": integral(mp.log),
+                "J2(2)": integral(lambda w: w ** 2 * mp.log(w)),
+                "I1": integral(lambda w: P(w) ** 2),
+                "I2": integral(inner),
+                "I3": integral(lambda w: P(w) ** 2 * (mp.log(l / w) - 1 + w / l)),
+            }.items()}
+
+    def test_moments(self, reference):
+        J = solve_j(1, self.U)
+        got = {"J1(0)": moment_J1(1, self.U, 0, J=J).value,
+               "J1(1)": moment_J1(1, self.U, 1, J=J).value,
+               "J2(0)": moment_J2(1, self.U, 0, J=J).value,
+               "J2(2)": moment_J2(1, self.U, 2, J=J).value}
+        for key, value in got.items():
+            assert value == pytest.approx(reference[key], abs=1e-14), key
+
+    def test_main_integrals(self, reference):
+        P = SievePolynomial(self.PCOEF, self.U)
+        mi = main_integrals(1, self.U, self.L, P, J=solve_j(1, self.U))
+        assert mi.i1 == pytest.approx(reference["I1"], abs=1e-14)
+        assert mi.i2 == pytest.approx(reference["I2"], abs=1e-14)
+        assert mi.i3 == pytest.approx(reference["I3"], abs=1e-14)
 
 
 class TestReporting:

@@ -101,6 +101,11 @@ class TestProfile:
         b = omega_profile(twin, 20000, segment_size=997)
         assert a.counts == b.counts and a.excluded == b.excluded
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_segment_size_below_one(self, twin, size):
+        with pytest.raises(ValueError, match="segment_size"):
+            omega_profile(twin, 100, segment_size=size)
+
     def test_thread_invariance(self, twin):
         base = omega_profile(twin, 100_000, threads=1)
         for t in (4, 8):
