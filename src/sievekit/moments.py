@@ -235,7 +235,8 @@ def moment_J2(kappa: int, u: float | None = None, i: int = 0,
     value = _integral(jp, u, upper, [0.0] * i + [1.0], atol, log=True)
     asym = None
     env = None
-    if i == 0 and _is_canonical_u(kappa, u):
+    # at kappa = 1 the envelope 5 log(kappa)/kappa is 0: no comparator
+    if i == 0 and kappa > 1 and _is_canonical_u(kappa, u):
         asym = (0.25 * math.log(kappa) + 0.25 * digamma(0.5)
                 - 1.0 / (9.0 * math.sqrt(math.pi * kappa)))
         env = 5.0 * math.log(kappa) / kappa

@@ -10,8 +10,9 @@ and inverted by
 
     mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr} / f'(dr).
 
-Each system enumerates its support once into a SupportLattice (mu, f and
-f' from one rho(p) per prime).  The support is divisor-closed, so both
+Each system enumerates its support once into a SupportLattice of integer
+tables, mu, rho and phi = prod (p - rho(p)) from one rho(p) per prime, so
+f = m/rho and f' = phi/rho.  The support is divisor-closed, so both
 directions are superset sums: one pass of acc[m/p] += acc[m] per prime p
 over the m it divides, O(|S| omega) additions in all.
 
@@ -22,13 +23,20 @@ For a concrete instance A = {L(n) : n <= x} the weighted sum
 decomposes exactly as x*S + E with S the zeta-diagonalized main term and
 E the remainder sum over exact R_d = |A_d| - x rho(d)/d.  The identity
 is linear in the a_d, so exact mode snapshots any real weights into
-dyadic rationals and verifies a residual of exactly zero.
+dyadic rationals and verifies a residual of exactly zero.  Exact mode runs
+on Python integers over a common denominator and divides once per output,
+as G_sum does.  The left side still enumerates every n <= x, grouped by
+kernel, the primes below z that divide L(n), so it shares nothing with
+the lambda algebra.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +45,7 @@ import numpy as np
 from .arithmetic import (
     LinearSystem,
     _primes_below,
+    _roots_mod_prime,
     _rho_prime,
     f_values,
     is_prime,
@@ -98,26 +107,28 @@ def richert_a(W: RichertWeights, d: int) -> float:
 def support_elements(xi: float, z_prime: float,
                      budget: int = SUPPORT_NODE_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
     """Squarefree m < xi with all prime factors < z', as (m, primes)
-    pairs sorted by m.  DFS over ascending primes; BudgetExceeded when
-    the lattice has more than ``budget`` nodes."""
+    pairs sorted by m.  BudgetExceeded when the lattice has more than
+    ``budget`` nodes."""
     if xi <= 1:
         raise SupportEmpty("xi <= 1 leaves no support")
-    primes = [p for p in _primes_below(min(z_prime, xi))]
-    out = [(1, ())]
+    out = list(itertools.islice(_products(_primes_below(min(z_prime, xi)), xi), budget + 1))
+    if len(out) > budget:
+        raise BudgetExceeded("support lattice above node budget")
+    return sorted(out)
+
+
+def _products(primes, bound):
+    """(m, primes of m) for every squarefree product m < bound of the
+    ascending ``primes``, 1 first, by a DFS over ascending primes."""
     stack = [(1, (), 0)]
     while stack:
         m, pf, i = stack.pop()
+        yield m, pf
         for k in range(i, len(primes)):
-            p = primes[k]
-            mp = m * p
-            if mp >= xi:
+            mp = m * primes[k]
+            if mp >= bound:
                 break
-            out.append((mp, pf + (p,)))
-            if len(out) > budget:
-                raise BudgetExceeded("support lattice above node budget")
-            stack.append((mp, pf + (p,), k + 1))
-    out.sort()
-    return out
+            stack.append((mp, pf + (primes[k],), k + 1))
 
 
 # ----------------------------------------------------------------------
@@ -126,13 +137,14 @@ def support_elements(xi: float, z_prime: float,
 
 @dataclass(frozen=True)
 class SupportLattice:
-    """mu, f and f' keyed by the elements of one support, ascending
-    (Fractions in exact mode, floats otherwise), and the triples
-    (p, m, m/p) for each prime p of each element m, sorted by p."""
+    """mu(m), rho(m) and phi(m) = prod_{p | m} (p - rho(p)) keyed by the
+    elements m of one support, ascending, so f(m) = m/rho(m) and
+    f'(m) = phi(m)/rho(m); and the triples (p, m, m/p) for each prime p
+    of each element m, sorted by p."""
 
     mu: dict
-    f: dict
-    fp: dict
+    rho: dict
+    phi: dict
     steps: tuple[tuple[int, int, int], ...]
 
 
@@ -175,12 +187,12 @@ class LambdaSystem:
         }
 
 
-def _lattice(L: LinearSystem, sf, exact: bool) -> SupportLattice:
+def _lattice(L: LinearSystem, sf) -> SupportLattice:
     """Lattice over the (m, primes) pairs of support_elements, with
-    f(m) = f(m/p) f(p).  The smallest prime with rho(p) = 0 raises
-    DensityZero, with rho(p) = p (f'(p) = 0) DivisionByZero."""
-    one = Fraction(1) if exact else 1.0
-    f, fp = {1: one}, {1: one}
+    rho(m) = rho(m/p) rho(p) and phi(m) = phi(m/p) phi(p).  The smallest
+    prime with rho(p) = 0 raises DensityZero, with rho(p) = p (f'(p) = 0)
+    DivisionByZero."""
+    rho, phi = {1: 1}, {1: 1}
     for m, pf in sf[1:]:
         p = pf[-1]
         if m == p:
@@ -189,20 +201,40 @@ def _lattice(L: LinearSystem, sf, exact: bool) -> SupportLattice:
                 raise DensityZero(f"rho({p}) = 0")
             if r == p:
                 raise DivisionByZero(f"f'({p}) = 0")
-            f[p], fp[p] = one * p / r, one * (p - r) / r
+            rho[p], phi[p] = r, p - r
         else:
-            f[m], fp[m] = f[m // p] * f[p], fp[m // p] * fp[p]
-    return SupportLattice({m: (-1) ** len(pf) for m, pf in sf}, f, fp,
+            rho[m], phi[m] = rho[m // p] * rho[p], phi[m // p] * phi[p]
+    return SupportLattice({m: (-1) ** len(pf) for m, pf in sf}, rho, phi,
                           tuple(sorted((p, m, m // p) for m, pf in sf for p in pf)))
 
 
-def _dual(lat: SupportLattice, values: dict, inner: dict, outer: dict) -> dict:
-    """mu(d) outer(d) sum_{m in support, d | m} values[m] / inner(m) for
-    every d in the support, by one superset-sum pass per prime."""
-    acc = {m: values[m] / w for m, w in inner.items()}
+def _scaled(values: dict, exact: bool) -> tuple[dict, int]:
+    """(values * q, q) with q the lcm of their denominators in exact mode,
+    so every scaled value is an integer; (values, 1) in float mode."""
+    if not exact:
+        return values, 1
+    ratios = {k: v.as_integer_ratio() for k, v in values.items()}
+    q = math.lcm(*(d for _, d in ratios.values()))
+    return {k: n * (q // d) for k, (n, d) in ratios.items()}, q
+
+
+def _dual(lat: SupportLattice, values: dict, to_lambda: bool, exact: bool) -> dict:
+    """mu(d) g(d) sum_{m in support, d | m} values[m] / h(m) for every d in
+    the support, (g, h) = (f, f') to lambda and (f', f) to zeta, by one
+    superset-sum pass per prime.  With h = n_h/rho, exact mode scales each
+    term by q T (q the lcm of the value denominators, T that of the n_h)
+    to an integer and divides once per element at the end."""
+    rho = lat.rho
+    ident = dict(zip(rho, rho))
+    inner, outer = (lat.phi, ident) if to_lambda else (ident, lat.phi)
+    vals, q = _scaled(values, exact)
+    t = math.lcm(*inner.values()) if exact else 1
+    acc = {m: vals[m] * r * (t // inner[m]) if exact else float(vals[m]) * r / inner[m]
+           for m, r in rho.items()}
     for _, m, d in lat.steps:
         acc[d] += acc[m]
-    return {m: lat.mu[m] * outer[m] * a for m, a in acc.items()}
+    div = Fraction if exact else operator.truediv
+    return {m: div(lat.mu[m] * outer[m] * a, q * t * rho[m]) for m, a in acc.items()}
 
 
 def _poly_zeta(P: SievePolynomial, xi: float, z_prime: float, sf,
@@ -229,15 +261,13 @@ def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
 def lambda_from_zeta(L: LinearSystem, xi: float, z_prime: float, zeta: dict,
                      exact: bool = True) -> dict:
     """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr)."""
-    lat = _lattice(L, support_elements(xi, z_prime), exact)
-    return _dual(lat, zeta, lat.fp, lat.f)
+    return _dual(_lattice(L, support_elements(xi, z_prime)), zeta, True, exact)
 
 
 def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
                      exact: bool = True) -> dict:
     """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr)."""
-    lat = _lattice(L, support_elements(xi, z_prime), exact)
-    return _dual(lat, lam, lat.f, lat.fp)
+    return _dual(_lattice(L, support_elements(xi, z_prime)), lam, False, exact)
 
 
 def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
@@ -254,8 +284,8 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
         zeta = dict.fromkeys(support, Fraction(1) if exact else 1.0)
     elif not isinstance(zeta, dict):
         zeta = {m: zeta(m) for m in support}
-    lat = _lattice(L, sf, exact)
-    lam = _dual(lat, zeta, lat.fp, lat.f)
+    lat = _lattice(L, sf)
+    lam = _dual(lat, zeta, True, exact)
     if lam[1] == 0:
         raise DivisionByZero("lambda_1 = 0")
     return LambdaSystem(L, xi, z_prime, support, dict(zeta), lam, exact, lat)
@@ -348,14 +378,9 @@ class SieveInstance:
 
 
 def _count_in_classes(x: int, d: int, roots) -> int:
-    """#{1 <= n <= x : n = c mod d for some c in roots}, 0 <= c < d."""
-    total = 0
-    for c in roots:
-        if c == 0:
-            total += x // d
-        elif c <= x:
-            total += (x - c) // d + 1
-    return total
+    """#{1 <= n <= x : n = c mod d for some c in roots}, 0 <= c < d: the
+    class of c starts at n = (c - 1) % d + 1."""
+    return sum((x - 1 - (c - 1) % d) // d + 1 for c in roots)
 
 
 @dataclass(frozen=True)
@@ -369,21 +394,17 @@ class Decomposition:
     mode: str
 
 
-def _exact_weight(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(float(v))
-
-
 def _richert_weights(W: RichertWeights, exact: bool) -> dict:
     """{d: a_d} over d = 1 and the primes d < z with a_d != 0, the one
     list of Richert weights that all three terms of the identity use."""
     a = {d: richert_a(W, d) for d in (1, *_primes_below(W.z))}
-    return {d: _exact_weight(v) if exact else v for d, v in a.items() if v != 0.0}
+    return {d: Fraction(v) if exact else v for d, v in a.items() if v != 0.0}
 
 
-def _total(S: LambdaSystem, terms):
-    """Sum of terms in the arithmetic of S: an exact Fraction sum in
-    exact mode, math.fsum otherwise."""
-    return sum(terms, Fraction(0)) if S.exact else math.fsum(terms)
+def _total(S: LambdaSystem, terms, scale: int = 1):
+    """Sum of terms in the arithmetic of S: the exact sum over ``scale``
+    in exact mode, math.fsum otherwise (where the scale is 1)."""
+    return Fraction(sum(terms), scale) if S.exact else math.fsum(terms)
 
 
 def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
@@ -399,10 +420,12 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     # a_p / f(p); in float mode the division converts f(p) to float
     a_over_f = {p: a / f_values(S.L, p)[0] for p, a in a_vals.items() if p > 1}
     terms = []
-    for m, fpm in S.lattice.fp.items():
+    for m, rm in S.lattice.rho.items():
         zm = zeta[m]
+        # 1/f'(m) = rho(m)/phi(m)
+        w = Fraction(rm, S.lattice.phi[m]) if S.exact else rm / S.lattice.phi[m]
         # d = 1
-        terms.append(a_vals[1] * zm * zm / fpm)
+        terms.append(a_vals[1] * zm * zm * w)
         for p, a_f in a_over_f.items():
             if not relaxed and m % p == 0:
                 continue
@@ -411,59 +434,96 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
             else:
                 # 0 takes the type of zm
                 inner = zm - zeta.get(p * m, 0)
-            terms.append(a_f * inner * inner / fpm)
+            terms.append(a_f * inner * inner * w)
     return _total(S, terms)
 
 
 def e_error(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):
     """Remainder term sum_{d, nu1, nu2} a_d lambda_nu1 lambda_nu2
-    R_[d,nu1,nu2], exact or float as S is, grouped by the joint modulus
-    m = [d, nu1, nu2].  The summand is symmetric in (nu1, nu2), so each
-    unordered pair is visited once with weight 2 when nu1 != nu2."""
-    d_list = list(_richert_weights(W, S.exact).items())
-    lam = S.lam
+    R_[d,nu1,nu2], exact or float as S is.  Each unordered pair is visited
+    once, weight 2 when nu1 != nu2, and summed per lcm [nu1, nu2] before
+    the d spread it over the joint moduli m = [d, nu1, nu2].  Exact mode
+    scales lambda and a_d to integers and ends with one Fraction over the
+    lcm of the m."""
+    a, a_scale = _scaled(_richert_weights(W, S.exact), S.exact)
+    lam, lam_scale = _scaled(S.lam, S.exact)
     support = S.support
-    if len(support) ** 2 * len(d_list) > SUPPORT_NODE_BUDGET:
+    if len(support) ** 2 * len(a) > SUPPORT_NODE_BUDGET:
         raise BudgetExceeded("error-term triple sum above budget")
-    coeff = {}
+    joint = {}
     for i, n1 in enumerate(support):
         l1 = lam[n1]
         l1x2 = 2 * l1
         for n2 in support[i:]:
-            l12 = (l1 if n2 == n1 else l1x2) * lam[n2]
             nn = n1 * n2 // math.gcd(n1, n2)
-            for d, a in d_list:
-                m = nn if nn % d == 0 else nn * d
-                coeff[m] = coeff.get(m, 0) + a * l12
+            joint[nn] = joint.get(nn, 0) + (l1 if n2 == n1 else l1x2) * lam[n2]
+    coeff = {}
+    for nn, l12 in joint.items():
+        for d, ad in a.items():
+            m = nn if nn % d == 0 else nn * d
+            coeff[m] = coeff.get(m, 0) + ad * l12
+    big = math.lcm(*coeff) if S.exact else 1
     terms = []
-    for m, cval in sorted(coeff.items()):
-        rm = inst.remainder(m)
-        terms.append(cval * (rm if S.exact else float(rm)))
-    return _total(S, terms)
+    for m, c in coeff.items():
+        roots = roots_mod_squarefree(inst.L, m)
+        # m R_m = m |A_m| - x rho(m), an integer
+        mr = _count_in_classes(inst.x, m, roots) * m - inst.x * len(roots)
+        terms.append(c * mr * (big // m) if S.exact else c * (mr / m))
+    return _total(S, terms, big * a_scale * lam_scale ** 2)
 
 
 def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):
-    """Left side by exhaustive enumeration over n <= x, exact or float
-    as S is."""
-    L = inst.L
-    (_, b), *primes_z = _richert_weights(W, S.exact).items()
-    lam = S.lam
-    support = S.support
+    """Left side by enumeration over every n <= x, exact or float as S is.
+    The a_d sum and the lambda sum depend on n only through its kernel,
+    the primes p < max(z, min(z', xi)) dividing L(n), so each runs once per
+    kernel, times its count, on the integers of _scaled in exact mode."""
+    a, a_scale = _scaled(_richert_weights(W, S.exact), S.exact)
+    lam, lam_scale = _scaled(S.lam, S.exact)
+    cut = min(S.z_prime, S.xi)
     terms = []
-    for n in range(1, inst.x + 1):
-        v = L.value(n)
-        av = abs(v)
-        a_sum = b
-        for p, ap in primes_z:
-            if av % p == 0:
-                a_sum = a_sum + ap
-        # nu = 1 always divides, so l_sum takes the type of lambda
-        l_sum = 0
-        for nu in support:
-            if av % nu == 0:
-                l_sum = l_sum + lam[nu]
-        terms.append(a_sum * l_sum * l_sum)
-    return _total(S, terms)
+    for kernel, count in _kernels(inst.L, inst.x, _primes_below(max(W.z, cut))):
+        a_sum = a[1] + sum(a[p] for p in kernel if p in a)
+        l_sum = sum(lam[m] for m, _ in _products([p for p in kernel if p < cut], S.xi))
+        terms.append(count * a_sum * l_sum * l_sum)
+    return _total(S, terms, a_scale * lam_scale ** 2)
+
+
+_KERNEL_BITS = 32
+
+
+def _kernels(L: LinearSystem, x: int, primes):
+    """Yield (kernel, count) for the distinct kernels of n = 1..x: the p in
+    ``primes`` (ascending) with n mod p a root of L mod p, that is
+    p | L(n), so L(n) = 0 has them all.  Each round ORs 32 primes into one
+    bit word per n and splits the groups of the n it hits by (group, word);
+    a new group is kept as the key parent << 32 | word, so memory stays
+    O(x) plus 8 bytes per group whatever the number of primes."""
+    group = np.zeros(x, dtype=np.uint64)
+    word = np.zeros(x, dtype=np.uint64)
+    bases, keys = [], []  # per round; group 0 is the empty kernel
+    n_groups = 1
+    for start in range(0, len(primes), _KERNEL_BITS):
+        word[:] = 0
+        for bit, p in enumerate(primes[start:start + _KERNEL_BITS]):
+            for r in _roots_mod_prime(L, p):
+                word[(r - 1) % p::p] |= np.uint64(1 << bit)
+        hit = np.flatnonzero(word)
+        new, inv = np.unique(group[hit] << np.uint64(_KERNEL_BITS) | word[hit],
+                             return_inverse=True)
+        group[hit] = n_groups + inv
+        bases.append(n_groups)
+        keys.append(new)
+        n_groups += len(new)
+    ids, counts = np.unique(group, return_counts=True)
+    for g, count in zip(ids.tolist(), counts.tolist()):
+        kernel = []
+        while g:
+            r = bisect.bisect_right(bases, g) - 1
+            key = int(keys[r][g - bases[r]])
+            w, base = key & ((1 << _KERNEL_BITS) - 1), r * _KERNEL_BITS
+            kernel += [primes[base + bit] for bit in range(w.bit_length()) if w >> bit & 1]
+            g = key >> _KERNEL_BITS
+        yield tuple(sorted(kernel)), count
 
 
 def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem) -> Decomposition:

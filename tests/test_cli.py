@@ -106,6 +106,17 @@ class TestMoments:
         assert rows[0]["value"] == pytest.approx(
             math.exp(-EULER_GAMMA) * 8.0 / 9.0, abs=1e-12)
 
+    def test_kappa_one_j2_has_no_comparator(self, capsys):
+        # the envelope 5 log(kappa)/kappa is 0 at kappa = 1: no check to report
+        code, out, _ = run_cli(capsys, "moments", "--kappa", "1", "--format", "json")
+        assert code == 0
+        j2 = json.loads(out)[2]
+        assert j2["quantity"] == "J2(0)"
+        assert (j2["asymptotic"], j2["diff"], j2["envelope"]) == (None, None, None)
+        code, out, _ = run_cli(capsys, "moments", "--kappa", "1")
+        assert code == 0
+        assert out.splitlines()[3].endswith(",,,")
+
 
 class TestParamsAndJfun:
     def test_params_echo(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -236,12 +237,13 @@ class TestLatticeOracle:
         L = build_system(forms)
         exact = build_lambda_system(L, xi, zp).lattice
         flt = build_lambda_system(L, xi, zp, exact=False).lattice
-        assert list(exact.f) == [m for m, _ in support_elements(xi, zp)]
-        for m in exact.f:
+        assert list(exact.rho) == [m for m, _ in support_elements(xi, zp)]
+        for m, r in exact.rho.items():
+            # f(m) = m/rho(m), f'(m) = phi(m)/rho(m)
             f, fp = f_values(L, m)
-            assert (exact.f[m], exact.fp[m]) == (f, fp)
-            assert flt.f[m] == pytest.approx(float(f), rel=1e-15)
-            assert flt.fp[m] == pytest.approx(float(fp), rel=1e-15)
+            assert (Fraction(m, r), Fraction(exact.phi[m], r)) == (f, fp)
+        # the tables are integers, the same in both modes
+        assert (flt.rho, flt.phi) == (exact.rho, exact.phi)
 
     @pytest.mark.parametrize("forms", ORACLE_FORMS[:4])
     @pytest.mark.parametrize("xi,zp", ORACLE_GRID)
@@ -407,6 +409,82 @@ class TestInstance:
         assert inst.remainder(1) == 0
 
 
+def richert_list(W, exact):
+    """(d, a_d) for d = 1 and the primes d < z, in the mode's arithmetic."""
+    a = [(d, richert_a(W, d)) for d in range(1, math.ceil(W.z))]
+    return [(d, Fraction(v) if exact else v) for d, v in a if v != 0.0]
+
+
+def weighted_sum_oracle(inst, W, S):
+    """Left side by testing |L(n)| % d for every n <= x, every weighted
+    prime and every support element: the reference for the kernel
+    grouping."""
+    (_, b), *primes_z = richert_list(W, S.exact)
+    terms = []
+    for n in range(1, inst.x + 1):
+        av = abs(inst.L.value(n))
+        a_sum = b
+        for p, ap in primes_z:
+            if av % p == 0:
+                a_sum = a_sum + ap
+        l_sum = 0
+        for nu in S.support:
+            if av % nu == 0:
+                l_sum = l_sum + S.lam[nu]
+        terms.append(a_sum * l_sum * l_sum)
+    return sum(terms, Fraction(0)) if S.exact else math.fsum(terms)
+
+
+def e_error_oracle(inst, W, S):
+    """Remainder term by one product a_d lambda_nu1 lambda_nu2 per
+    (unordered pair, d) triple, accumulated per joint modulus m and
+    weighted by SieveInstance.remainder(m): the reference for the sums per
+    lcm and the integer coefficients."""
+    d_list = richert_list(W, S.exact)
+    coeff = {}
+    for i, n1 in enumerate(S.support):
+        for n2 in S.support[i:]:
+            l12 = (1 if n1 == n2 else 2) * S.lam[n1] * S.lam[n2]
+            nn = math.lcm(n1, n2)
+            for d, a in d_list:
+                m = math.lcm(nn, d)
+                coeff[m] = coeff.get(m, 0) + a * l12
+    terms = [c * (inst.remainder(m) if S.exact else float(inst.remainder(m)))
+             for m, c in coeff.items()]
+    return sum(terms, Fraction(0)) if S.exact else math.fsum(terms)
+
+
+# ORACLE_FORMS plus kernel edge cases: L(7) = 0, and values below zero for
+# n < 1000 with L(1000) = 0 and 7 | a
+IDENTITY_FORMS = ORACLE_FORMS + [[[1, -7]], [[1, -1000], [7, 4]]]
+# (x, z, z', xi): x = 1, z' = 2 (support {1}), xi = z', xi < z', xi > z',
+# and 46 primes below z, more than one 32-prime word of kernel bits
+IDENTITY_GRID = [(1, 10, 5, 20), (600, 2.5, 2, 30), (500, 13, 13, 13),
+                 (400, 30, 30, 12), (300, 20, 10, 40), (1000, 30, 30, 200),
+                 (500, 200, 20, 40)]
+
+
+class TestIdentityOracles:
+    @pytest.mark.parametrize("forms", IDENTITY_FORMS)
+    @pytest.mark.parametrize("x,z,zp,xi", IDENTITY_GRID)
+    def test_match_loop_oracles(self, forms, x, z, zp, xi):
+        L = build_system(forms)
+        W = RichertWeights(b=2.5, y=min(3.0, z), z=z)
+        inst = SieveInstance(L, x)
+        try:
+            exact = build_lambda_system(L, xi, zp)
+        except DivisionByZero:
+            assert brute_rho(L, 2) == 2 and zp > 2
+            return
+        flt = build_lambda_system(L, xi, zp, exact=False)
+        for fn, oracle in ((weighted_sum_direct, weighted_sum_oracle),
+                           (e_error, e_error_oracle)):
+            want = oracle(inst, W, exact)
+            assert fn(inst, W, exact) == want
+            assert abs(fn(inst, W, flt) - oracle(inst, W, flt)) <= 1e-12 * abs(want)
+        assert decompose(inst, W, exact).residual == 0
+
+
 class TestDecompose:
     def test_spec_instance_exact_zero(self, tuple_n):
         W = RichertWeights(b=3.0, y=3.0, z=10.0)
@@ -439,6 +517,19 @@ class TestDecompose:
         S = build_lambda_system(twin, 60, 20)
         with pytest.raises(DomainError):
             decompose(SieveInstance(tuple_n, 500), W, S)
+
+    def test_perturbed_lambda_gives_nonzero_residual(self, twin):
+        # the left side is an enumeration over n, not the lambda algebra:
+        # a lambda that no longer inverts zeta must break the identity
+        W = RichertWeights(b=3.0, y=3.0, z=20.0)
+        S = build_lambda_system(twin, 60, 20)
+        inst = SieveInstance(twin, 500)
+        assert decompose(inst, W, S).residual == 0
+        for nu in S.support:
+            lam = dict(S.lam)
+            lam[nu] += Fraction(1, 1000)
+            bad = dataclasses.replace(S, lam=lam)
+            assert decompose(inst, W, bad).residual != 0
 
     def test_degenerate_supports(self, tuple_n):
         # lambda on {1} only, a on {1} only
