@@ -17,7 +17,17 @@ integrating term by term.  g has O(1) relative variation per interval
 for every kappa (q itself spans hundreds of orders of magnitude, which
 is why a direct polynomial representation of q would lose all relative
 accuracy at large kappa).  On (0, 1], g = 1 identically, so q = w^kappa
-is represented exactly there.
+is represented exactly there.  The solver builds each interval's
+expansion from the values at the Chebyshev-Gauss nodes through one
+fixed matrix per degree (discrete orthogonality of T_j at those nodes).
+
+Evaluation is scalar and sits inside scipy's quadrature, so it is kept
+to plain Python floats: each interval's coefficients are held as a
+reversed tuple of floats, and ``_clenshaw`` runs numpy's ``chebval``
+recurrence on them, operation for operation, so the values are
+bit-identical to ``chebval``.  ``JFunction.j_prime`` remembers the value
+at every argument it has seen, because the quadratures of one bound
+sample the same nodes several times.
 
 Linear values of q overflow doubles once kappa*log(w) grows past ~709
 (around kappa = 150); j and j' themselves stay O(1) and are always
@@ -26,6 +36,7 @@ computed through logs, and every evaluator has a log-scaled variant.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -79,15 +90,30 @@ class SaddleParams:
         return self.kappa - 1.0 / 3.0 - self.d
 
 
+def _clenshaw(x: float, rev) -> float:
+    """Chebyshev series at x from its coefficients in reverse order
+    (highest degree first, at least two): numpy's ``chebval`` recurrence
+    on Python floats, with the same operations in the same order."""
+    x2 = 2.0 * x
+    c1, c0 = rev[0], rev[1]
+    for a in rev[2:]:
+        c0, c1 = a - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 class JFunction:
     """Solved delay ODE on [0, w_max].
 
     Interval (m, m+1] stores Chebyshev coefficients of the scaled
     solution g(w) = q(w) * w^(-kappa); on (0, 1] the solution q = w^kappa
-    is exact.  Instances are immutable after solve and cheap to evaluate.
+    is exact.  Each interval's coefficients are kept as a tuple of floats
+    in reverse order (highest degree first), the form ``_clenshaw`` takes.
+    Instances are immutable after solve apart from one cache: ``j_prime``
+    stores j'(w) for each w it has evaluated, so a repeated quadrature
+    node costs one dict lookup.
     """
 
-    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_coeffs")
+    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_j_prime_memo")
 
     def __init__(self, kappa, w_max, tol, degree, log_c, coeffs):
         self.kappa = kappa
@@ -95,7 +121,8 @@ class JFunction:
         self.tol = tol
         self.degree = degree
         self.log_c = log_c
-        self._coeffs = coeffs
+        self._rev = [tuple(reversed(np.asarray(c, dtype=float).tolist())) for c in coeffs]
+        self._j_prime_memo = {}
 
     # -- scaled representation ------------------------------------------
 
@@ -103,17 +130,26 @@ class JFunction:
         if w > self.w_max * (1.0 + 1e-12) + 1e-12:
             raise OutOfRange(f"w = {w} beyond solved range {self.w_max}")
 
-    def _interval(self, w: float) -> int:
-        m = int(math.ceil(w)) - 1
-        return min(max(m, 1), len(self._coeffs))
+    def _g(self, w: float) -> float:
+        """g at w > 1 already checked against the range.  With no
+        intervals (w_max = 1) such a w lies within the range tolerance of
+        1, where g = 1 - O((w-1)^(kappa+1)) and the (0, 1] value 1 holds."""
+        rev = self._rev
+        if not rev:
+            return 1.0
+        m = min(int(math.ceil(w)) - 1, len(rev))
+        return _clenshaw(2.0 * (w - m) - 1.0, rev[m - 1])
+
+    def _log_q(self, w: float) -> float:
+        """log q(w) at w > 0 already checked against the range."""
+        if w <= 1.0:
+            return self.kappa * math.log(w)
+        return self.kappa * math.log(w) + math.log(self._g(w))
 
     def g(self, w: float) -> float:
         """q(w) * w^(-kappa); equals 1 on (0, 1]."""
         self._check(w)
-        if w <= 1.0:
-            return 1.0
-        m = self._interval(w)
-        return float(C.chebval(2.0 * (w - m) - 1.0, self._coeffs[m - 1]))
+        return 1.0 if w <= 1.0 else self._g(w)
 
     # -- normalized solution q = j / c_kappa -----------------------------
 
@@ -121,9 +157,7 @@ class JFunction:
         if w <= 0.0:
             return -math.inf
         self._check(w)
-        if w <= 1.0:
-            return self.kappa * math.log(w)
-        return self.kappa * math.log(w) + math.log(self.g(w))
+        return self._log_q(w)
 
     def q(self, w: float) -> float:
         if w <= 0.0:
@@ -140,14 +174,12 @@ class JFunction:
         self._check(w)
         if w <= 1.0:
             return math.log(self.kappa) + (self.kappa - 1) * math.log(w)
-        lq, lqd = self.log_q(w), self.log_q(w - 1.0)
-        if lqd == -math.inf:
-            diff = lq
-        else:
-            ratio = lqd - lq
-            if ratio >= 0.0:  # flat to machine precision
-                return -math.inf
-            diff = lq + math.log1p(-math.exp(ratio))
+        # w - 1 > 0 exactly here, since w > 1
+        lq = self._log_q(w)
+        ratio = self._log_q(w - 1.0) - lq
+        if ratio >= 0.0:  # flat to machine precision
+            return -math.inf
+        diff = lq + math.log1p(-math.exp(ratio))
         return math.log(self.kappa) + diff - math.log(w)
 
     def q_prime(self, w: float) -> float:
@@ -169,8 +201,11 @@ class JFunction:
         return self.log_c + self.log_q_prime(w)
 
     def j_prime(self, w: float) -> float:
-        lj = self.log_j_prime(w)
-        return math.exp(lj) if lj > _LOG_TINY else 0.0
+        jp = self._j_prime_memo.get(w)
+        if jp is None:
+            lj = self.log_j_prime(w)
+            jp = self._j_prime_memo[w] = math.exp(lj) if lj > _LOG_TINY else 0.0
+        return jp
 
     # -- diagnostics ------------------------------------------------------
 
@@ -183,10 +218,10 @@ class JFunction:
         q' uses the DDE identity itself and would be trivially exact).
         """
         self._check(w)
-        if w <= 1.0:
+        if w <= 1.0 or not self._rev:
             return 0.0
-        m = self._interval(w)
-        coeffs = self._coeffs[m - 1]
+        m = min(int(math.ceil(w)) - 1, len(self._rev))
+        coeffs = np.array(self._rev[m - 1][::-1])
         x = 2.0 * (w - m) - 1.0
         g = float(C.chebval(x, coeffs))
         gp = 2.0 * float(C.chebval(x, C.chebder(coeffs)))
@@ -204,7 +239,7 @@ class JFunction:
             "tol": self.tol,
             "degree": self.degree,
             "log_c": self.log_c,
-            "coeffs": [c.tolist() for c in self._coeffs],
+            "coeffs": [list(reversed(rev)) for rev in self._rev],
         }
 
     @classmethod
@@ -215,13 +250,25 @@ class JFunction:
             float(data["tol"]),
             int(data["degree"]),
             float(data["log_c"]),
-            [np.asarray(c, dtype=float) for c in data["coeffs"]],
+            data["coeffs"],
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _collocation(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n+1 Chebyshev-Gauss nodes x_k and the matrix that maps values
+    at them to the degree-n interpolant's Chebyshev coefficients:
+    c_j = (2/(n+1)) sum_k f(x_k) T_j(x_k), halved for j = 0."""
+    nodes = np.cos(np.pi * (2.0 * np.arange(n + 1) + 1.0) / (2.0 * (n + 1)))
+    fit = C.chebvander(nodes, n).T * (2.0 / (n + 1))
+    fit[0] *= 0.5
+    nodes.flags.writeable = fit.flags.writeable = False
+    return nodes, fit
 
 
 def _solve_interval(kappa, m, coeffs, g_left, n):
     """Chebyshev coefficients of g on [m, m+1] plus a truncation estimate."""
-    nodes = np.cos(np.pi * (2.0 * np.arange(n + 1) + 1.0) / (2.0 * (n + 1)))
+    nodes, fit = _collocation(n)
     t = m + 0.5 * (nodes + 1.0)
     if m == 1:
         g_prev = np.ones_like(t)
@@ -230,10 +277,10 @@ def _solve_interval(kappa, m, coeffs, g_left, n):
         g_prev = C.chebval(2.0 * (t - m) - 1.0, coeffs[m - 2])
     with np.errstate(under="ignore"):
         integrand = np.exp(kappa * np.log1p(-1.0 / t) - np.log(t)) * g_prev
-    fc = C.chebfit(nodes, integrand, n)
+    fc = fit @ integrand
     hc = 0.5 * C.chebint(fc)
     gc = -kappa * hc
-    gc[0] += g_left + kappa * float(C.chebval(-1.0, hc))
+    gc[0] += g_left + kappa * _clenshaw(-1.0, hc[::-1].tolist())
     tail = abs(fc[-1]) + abs(fc[-2])
     return gc, kappa * tail
 
@@ -280,7 +327,7 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
         n = degree
         while True:
             gc, err = _solve_interval(kappa, m, coeffs, g_left, n)
-            g_right = float(C.chebval(1.0, gc))
+            g_right = _clenshaw(1.0, gc[::-1].tolist())
             if err <= tol * max(abs(g_left), abs(g_right)):
                 break
             if n >= MAX_DEGREE:

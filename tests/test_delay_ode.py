@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
+from sievekit.bounds import r_bound_numeric
 from sievekit.delay_ode import (
     EULER_GAMMA,
+    JFunction,
     SaddleParams,
+    _clenshaw,
+    _collocation,
     c_kappa,
     eval_j,
     saddle_j_prime,
@@ -64,6 +69,174 @@ def rk4_step_oracle(kappa, w_target, h=1e-3):
             return q
         prev = cur
         m += 1
+
+
+def coefficient_arrays(J):
+    """Each interval's Chebyshev coefficients, lowest degree first."""
+    return [np.array(rev[::-1]) for rev in J._rev]
+
+
+def log_q_oracle(J, w):
+    """log q through numpy's chebval on the stored coefficients."""
+    if w <= 0.0:
+        return -math.inf
+    if w <= 1.0:
+        return J.kappa * math.log(w)
+    m = min(int(math.ceil(w)) - 1, len(J._rev))
+    g = float(C.chebval(2.0 * (w - m) - 1.0, coefficient_arrays(J)[m - 1]))
+    return J.kappa * math.log(w) + math.log(g)
+
+
+def log_q_prime_oracle(J, w):
+    """log q'(w) from two full log q evaluations, as the evaluator did
+    before it looked up both intervals itself."""
+    k = J.kappa
+    if w <= 0.0:
+        return -math.inf if (w < 0.0 or k > 1) else 0.0
+    if w <= 1.0:
+        return math.log(k) + (k - 1) * math.log(w)
+    lq, lqd = log_q_oracle(J, w), log_q_oracle(J, w - 1.0)
+    if lqd == -math.inf:
+        diff = lq
+    else:
+        ratio = lqd - lq
+        if ratio >= 0.0:
+            return -math.inf
+        diff = lq + math.log1p(-math.exp(ratio))
+    return math.log(k) + diff - math.log(w)
+
+
+def evaluation_grid(J):
+    """w <= 0, w in (0, 1], just above 1, every knot from both sides, the
+    Chebyshev nodes of every interval, and w_max."""
+    ws = [-0.5, 0.0, 1e-3, 0.5, 1.0, 1.0 + 1e-13, 1.0 + 1e-9]
+    nodes = np.cos(np.pi * (2.0 * np.arange(9) + 1.0) / 18.0)
+    for m in range(1, len(J._rev) + 1):
+        ws += [m, m + 1e-12, min(m + 1.0, J.w_max)]
+        ws += [m + 0.5 * (x + 1.0) for x in nodes.tolist() if m + 0.5 * (x + 1.0) <= J.w_max]
+    return ws + [J.w_max]
+
+
+# At kappa = 150, kappa * log(w) passes 709 near w = 113: w^kappa would
+# overflow, so only the log-scaled path works there.
+ORACLE_KAPPAS = (1, 2, 10, 100, 150)
+
+
+@pytest.fixture(scope="module", params=ORACLE_KAPPAS)
+def oracle_j(request, jfun):
+    kappa = request.param
+    return jfun(kappa, max(kappa - 1.0 / 9.0, 3.0))
+
+
+class TestScalarEvaluation:
+    """The float-tuple Clenshaw and the one-pass log q' against numpy's
+    chebval and the two-pass formula."""
+
+    def test_clenshaw_equals_chebval(self, oracle_j):
+        xs = [-1.0, 1.0, 0.0] + np.cos(np.pi * (2.0 * np.arange(33) + 1.0) / 66.0).tolist()
+        assert oracle_j._rev
+        for coeffs, rev in zip(coefficient_arrays(oracle_j), oracle_j._rev):
+            for x in xs:
+                assert _clenshaw(x, rev) == float(C.chebval(x, coeffs))
+
+    def test_clenshaw_short_series(self):
+        for c in ([0.25, -3.0], [1.5, 0.5, -0.125]):
+            for x in (-1.0, -0.3, 0.7, 1.0):
+                assert _clenshaw(x, c[::-1]) == float(C.chebval(x, np.asarray(c)))
+
+    def test_log_q_prime_equals_two_pass_formula(self, oracle_j):
+        for w in evaluation_grid(oracle_j):
+            assert oracle_j.log_q_prime(w) == log_q_prime_oracle(oracle_j, w), w
+            assert oracle_j.log_q(w) == log_q_oracle(oracle_j, w), w
+
+
+class TestUnitRange:
+    """w_max = 1 leaves no interval; the range tolerance above 1 takes
+    the (0, 1] formula."""
+
+    @pytest.mark.parametrize("kappa", [1, 3, 40])
+    def test_tolerance_zone(self, kappa):
+        J = solve_j(kappa, 1.0)
+        for w in (1.0 + 5e-13, 1.0 + 1e-12, 1.0 + 1.5e-12):
+            assert J.g(w) == 1.0
+            assert J.log_q(w) == kappa * math.log(w)
+            assert J.j(w) == pytest.approx(J.j(1.0), rel=1e-10)
+            assert J.q_prime(w) == pytest.approx(kappa, rel=1e-10)
+            assert J.j_prime(w) == pytest.approx(J.j_prime(1.0), rel=1e-10)
+            assert eval_j(J, w, 1, scale="log") == J.log_j_prime(w)
+            assert J.representation_residual(w) == 0.0
+
+    def test_beyond_tolerance(self):
+        J = solve_j(3, 1.0)
+        for fn in (J.g, J.log_q, J.log_q_prime, J.j, J.j_prime):
+            with pytest.raises(OutOfRange):
+                fn(1.0 + 1e-9)
+
+
+class TestJPrimeMemo:
+    def test_repeated_calls_identical(self, jfun):
+        J = jfun(10)
+        ws = evaluation_grid(J)
+        first = [J.j_prime(w) for w in ws]
+        assert first == [math.exp(J.log_j_prime(w)) for w in ws]
+        assert [J.j_prime(w) for w in ws] == first
+
+    def test_json_roundtrip_rebuilds_tuples(self, jfun):
+        J = jfun(40)
+        K = JFunction.from_json(json.loads(json.dumps(J.to_json())))
+        assert K._rev == J._rev
+        assert all(isinstance(a, float) for rev in K._rev for a in rev)
+        ws = evaluation_grid(J)
+        assert [K.j_prime(w) for w in ws] == [J.j_prime(w) for w in ws]
+
+    def test_cache_dir_path(self, tmp_path):
+        a = solve_j(12, 11.5, cache_dir=str(tmp_path))
+        b = solve_j(12, 11.5, cache_dir=str(tmp_path))
+        assert b._rev == a._rev
+        ws = evaluation_grid(a)
+        assert [b.j_prime(w) for w in ws] == [a.j_prime(w) for w in ws]
+
+    def test_one_evaluation_per_distinct_argument(self, monkeypatch):
+        seen, evaluated = [], []
+        j_prime, log_j_prime = JFunction.j_prime, JFunction.log_j_prime
+
+        def counting_j_prime(self, w):
+            seen.append(w)
+            return j_prime(self, w)
+
+        def counting_log_j_prime(self, w):
+            evaluated.append(w)
+            return log_j_prime(self, w)
+
+        monkeypatch.setattr(JFunction, "j_prime", counting_j_prime)
+        monkeypatch.setattr(JFunction, "log_j_prime", counting_log_j_prime)
+        r_bound_numeric(40)
+        assert len(evaluated) == len(set(seen))
+        assert len(seen) > 2 * len(evaluated)
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_matches_chebfit(self, n):
+        nodes, fit = _collocation(n)
+        t = 7.0 + 0.5 * (nodes + 1.0)
+        rng = np.random.default_rng(n)
+        for f in (np.exp(40 * np.log1p(-1.0 / t) - np.log(t)),
+                  np.sin(5.0 * nodes) / (1.5 + nodes),
+                  rng.standard_normal(n + 1)):
+            ref = C.chebfit(nodes, f, n)
+            assert np.max(np.abs(fit @ f - ref)) <= 1e-13 * np.max(np.abs(f))
+
+    def test_low_degree_escalates(self):
+        J = solve_j(10, 9.9, degree=4)
+        assert J.degree > 4
+        ref = solve_j(10, 9.9)
+        ws = np.linspace(1.1, 9.9, 200)
+        assert max(abs(J.q(float(w)) / ref.q(float(w)) - 1.0) for w in ws) < 1e-9
+
+    def test_bench_kappas_stay_at_degree_32(self):
+        for k in range(10, 121, 10):
+            assert solve_j(k, k - 1.0 / 9.0).degree == 32
 
 
 class TestCKappa:
