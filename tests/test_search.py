@@ -1,11 +1,15 @@
+import hashlib
 import math
+import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievekit.arithmetic import build_system, from_offsets
+from sievekit.arithmetic import arithmetic_tables, build_system, from_offsets
+from sievekit.cli import main
 from sievekit.errors import BudgetExceeded, Int64Overflow, LimitTooLarge
 from sievekit.search import (
     count_at_most,
@@ -36,6 +40,48 @@ def naive_profile(L, x):
             continue
         counts[sum(naive_omega(abs(v)) for v in vals)] += 1
     return dict(sorted(counts.items())), excluded
+
+
+def reference_profile(L, x):
+    """The strided sieve that the log-weighted one replaced, kept as the
+    oracle: each class of q = p^k adds 1 to Omega and multiplies p into
+    the found part of the value, and the value counts one more prime
+    when found < |value|.  Runs [1, x] as one segment."""
+    form_vmax = [max(abs(a + b), abs(a * x + b)) for a, b in L.forms]
+    primes = arithmetic_tables(max(math.isqrt(max(form_vmax)) + 1, 3)).primes
+    lo, hi = 1, x + 1
+    n = np.arange(lo, hi, dtype=np.int64)
+    omega = np.zeros(hi - lo, dtype=np.int32)
+    zero_any = np.zeros(hi - lo, dtype=bool)
+    for (a, b), vmax in zip(L.forms, form_vmax):
+        av = np.abs(a * n + b)
+        zero = av == 0
+        zero_any |= zero
+        # found starts at 0 where the value is 0, so it never overflows there
+        found = (~zero).astype(np.int64)
+        for p in primes[:np.searchsorted(primes, math.isqrt(vmax), "right")].tolist():
+            if a % p == 0:
+                continue
+            q = p
+            while q <= vmax:
+                off = (-b * pow(a, -1, q) % q - lo) % q
+                omega[off::q] += 1
+                found[off::q] *= p
+                q *= p
+        omega += found < av
+    hist = np.bincount(omega[~zero_any])
+    return {k: int(v) for k, v in enumerate(hist) if v}, int(zero_any.sum())
+
+
+# {0,2} at x = 10^6, as the strided sieve gave it
+TWIN_1E6 = {
+    1: 1, 2: 8169, 3: 43689, 4: 99700, 5: 135019, 6: 137269, 7: 133814,
+    8: 131372, 9: 115018, 10: 84623, 11: 52745, 12: 29190, 13: 15146,
+    14: 7530, 15: 3549, 16: 1732, 17: 789, 18: 360, 19: 159, 20: 73,
+    21: 33, 22: 13, 23: 3, 24: 2, 25: 1, 26: 1,
+}
+# sha256 of `sievekit search --tuple 0,2 --x 1000000 --format json` stdout
+TWIN_1E6_JSON_SHA256 = "37b12fe146146ebdacb23067ed3f9fd2cde6cb7322919e91d5f17320af36aa67"
 
 
 class TestProfile:
@@ -92,9 +138,10 @@ class TestProfile:
         h = omega_profile(L, x)
         counts, excluded = naive_profile(L, x)
         assert h.counts == counts and h.excluded == excluded
-        for seg in (7, 997):
-            hs = omega_profile(L, x, segment_size=seg)
-            assert hs.counts == h.counts and hs.excluded == h.excluded
+        for seg in (1, 7, 997, 1 << 17, 1 << 20):
+            for threads in (1, 2):
+                hs = omega_profile(L, x, segment_size=seg, threads=threads)
+                assert hs.counts == h.counts and hs.excluded == h.excluded
 
     def test_segment_size_invariance(self, twin):
         a = omega_profile(twin, 20000, segment_size=1 << 17)
@@ -128,6 +175,49 @@ class TestProfile:
         # 2^62 + 1 fits in int64: the guard passes and the table cap stops it
         with pytest.raises(LimitTooLarge):
             omega_profile(build_system([[1 << 62, 1]]), 1)
+
+
+class TestAgainstReference:
+    """The log-weighted sieve against the strided oracle where the naive
+    profile is too slow, across segment sizes and thread counts."""
+
+    @pytest.mark.parametrize("forms,x", [
+        # 2^17 | n at n = 131072 and 3^11 | 2n - 1 at n = 88574: classes on
+        # both sides of the default segment size
+        ([[1, 0], [2, -1]], 140_000),
+        ([[1, 0], [1, 2], [1, 6]], 20_000),
+        # values near 1e12 and 1e13: most classes meet a segment at most once
+        ([[1, 10 ** 12 + 39]], 300),
+        ([[1, 10 ** 13 + 1], [3, 2]], 300),
+        ([[7, -10 ** 12], [1, 1]], 300),
+    ])
+    def test_histogram_matches_reference(self, forms, x):
+        L = build_system(forms)
+        counts, excluded = reference_profile(L, x)
+        # segment size 1 makes one segment per n: kept to the smaller x
+        sizes = [1, 7, 997, 1 << 17, 1 << 20] if x <= 5000 else [7, 997, 1 << 17, 1 << 20]
+        for size in sizes:
+            for threads in (1, 2):
+                h = omega_profile(L, x, segment_size=size, threads=threads)
+                assert (h.counts, h.excluded) == (counts, excluded), (size, threads)
+
+    @pytest.mark.parametrize("forms", [[[1, -7]], [[2, -5], [1, 1]]])
+    def test_zero_and_unit_values_raise_no_warning(self, forms):
+        L = build_system(forms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for size in (1, 7, 1 << 17):
+                h = omega_profile(L, 500, segment_size=size)
+                assert (h.counts, h.excluded) == naive_profile(L, 500)
+
+    def test_twin_histogram_pinned(self, twin):
+        h = omega_profile(twin, 10 ** 6)
+        assert h.counts == TWIN_1E6 and h.excluded == 0
+
+    def test_twin_cli_json_bytes_pinned(self, capsys):
+        assert main(["search", "--tuple", "0,2", "--x", "1000000", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TWIN_1E6_JSON_SHA256
 
 
 class TestCounts:
