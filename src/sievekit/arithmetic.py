@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,18 +74,20 @@ class AdmissibilityReport:
 def build_system(forms) -> LinearSystem:
     """Validate a list of (a, b) pairs and return a LinearSystem.
 
-    Raises GcdViolation when some gcd(a_i, b_i) != 1 and ZeroDiscriminant
+    Raises ValueError unless ``forms`` is a non-empty list of integer
+    pairs, GcdViolation when some gcd(a_i, b_i) != 1 and ZeroDiscriminant
     when the discriminant vanishes (covers a_i = 0 and repeated or
     proportional forms).
     """
-    if not forms:
-        raise ValueError("need at least one linear form")
-    canon = []
-    for a, b in forms:
-        a, b = int(a), int(b)
+    try:
+        canon = [(operator.index(a), operator.index(b)) for a, b in forms]
+    except (TypeError, ValueError):
+        canon = []
+    if not canon:
+        raise ValueError("forms must be a non-empty list of integer pairs [a, b]")
+    for a, b in canon:
         if math.gcd(a, b) != 1:
             raise GcdViolation(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
-        canon.append((a, b))
     delta = _discriminant(canon)
     if delta == 0:
         raise ZeroDiscriminant("discriminant is zero (zero or proportional forms)")
@@ -115,15 +118,17 @@ def from_offsets(offsets) -> LinearSystem:
 
 def parse_tuple_spec(text: str) -> LinearSystem:
     """Parse a tuple spec: a JSON file path, inline JSON {"forms": ...},
-    or the shorthand "0,2,6" meaning forms n + h_i."""
+    or the shorthand "0,2,6" meaning forms n + h_i.  ValueError unless the
+    JSON is an object whose "forms" is a non-empty list of integer pairs."""
     text = text.strip()
     if os.path.exists(text):
         with open(text) as fh:
             data = json.load(fh)
-        return build_system(data["forms"])
-    if text.startswith("{"):
-        return build_system(json.loads(text)["forms"])
-    return from_offsets(int(part) for part in text.split(","))
+    elif text.startswith("{"):
+        data = json.loads(text)
+    else:
+        return from_offsets(int(part) for part in text.split(","))
+    return build_system(data.get("forms") if isinstance(data, dict) else None)
 
 
 # Bounded so that long sweeps over many systems do not grow without

@@ -16,9 +16,6 @@ choices u = kappa - 1/9, l = 2*kappa and P = 1 unless overridden.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,10 +43,6 @@ class SieveParameters:
     eps: float
     b: float
     r: int
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("kappa", "u", "l", "U", "V", "alpha", "delta", "eps", "b", "r")}
 
 
 def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
@@ -177,23 +170,3 @@ def table(kappas, numeric: bool = True, slack: float = 0.0,
         rows.append(BoundRow(kappa, r_exp, r_num, t1, t2, t3, margin, note))
     return rows
 
-
-def table_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kappa", "r_explicit", "r_numeric", "term_half_klogk",
-                     "term_linear", "term_sqrt", "margin_at_r", "note"])
-    for r in rows:
-        writer.writerow([
-            r.kappa, r.r_explicit,
-            "" if r.r_numeric is None else r.r_numeric,
-            f"{r.term_half_klogk:.12g}", f"{r.term_linear:.12g}",
-            f"{r.term_sqrt:.12g}",
-            "" if r.margin_at_r is None else f"{r.margin_at_r:.12g}",
-            r.note,
-        ])
-    return buf.getvalue()
-
-
-def table_to_json(rows) -> str:
-    return json.dumps([r.__dict__ for r in rows], indent=1)

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 from . import bounds as bounds_mod
 from . import moments as moments_mod
@@ -44,16 +45,32 @@ def _write_output(text: str, path: str | None):
             fh.write(text)
 
 
+def _fmt(v):
+    """A CSV cell: floats to 12 significant digits, None as an empty cell."""
+    if v is None:
+        return ""
+    return f"{v:.12g}" if isinstance(v, float) else v
+
+
 def _csv_from_rows(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows(rows)
+    w.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _fmt(v):
-    return f"{v:.12g}" if isinstance(v, float) else v
+def _write_json(payload, path: str | None, indent=1, **kw):
+    # allow_nan=False: NaN and infinities are not JSON (RFC 8259)
+    _write_output(json.dumps(payload, indent=indent, allow_nan=False, **kw) + "\n", path)
+
+
+def _write_table(args, header, rows, payload):
+    """Write ``payload`` as JSON under --format json, else ``rows`` as CSV."""
+    if args.format == "json":
+        _write_json(payload, args.output)
+    else:
+        _write_output(_csv_from_rows(header, rows), args.output)
 
 
 def cmd_jfun(args) -> int:
@@ -61,47 +78,36 @@ def cmd_jfun(args) -> int:
         raise ValueError("--grid must be >= 1")
     J = solve_j(args.kappa, args.w_max, tol=args.tol, degree=args.degree,
                 cache_dir=args.cache)
-    n = args.grid
-    rows = []
-    for i in range(n + 1):
-        w = args.w_max * i / n
-        rows.append([_fmt(w), _fmt(J.log_q(w)), _fmt(J.j(w)), _fmt(J.j_prime(w))])
-    if args.format == "json":
-        payload = {"kappa": args.kappa, "w_max": args.w_max, "tol": args.tol,
-                   "degree": J.degree,
-                   "grid": [{"w": float(r[0]), "log_q": float(r[1]),
-                             "j": float(r[2]), "j_prime": float(r[3])} for r in rows]}
-        _write_output(json.dumps(payload, indent=1) + "\n", args.output)
-    else:
-        _write_output(_csv_from_rows(["w", "log_q", "j", "j_prime"], rows), args.output)
+    header = ("w", "log_q", "j", "j_prime")
+    rows = [(w, J.log_q(w), J.j(w), J.j_prime(w))
+            for w in (args.w_max * i / args.grid for i in range(args.grid + 1))]
+    # the JSON grid keeps the CSV's 12 digits; log q(0) = -inf goes out as null
+    grid = [{k: float(_fmt(v)) if math.isfinite(v) else None
+             for k, v in zip(header, row)} for row in rows]
+    _write_table(args, header, rows, {"kappa": args.kappa, "w_max": args.w_max,
+                                      "tol": args.tol, "degree": J.degree, "grid": grid})
     return 0
 
 
 def cmd_moments(args) -> int:
-    kappas = _parse_range(args.kappa)
-    rows = moments_mod.moment_table(kappas, atol=args.atol)
-    if args.format == "json":
-        _write_output(json.dumps([r.__dict__ for r in rows], indent=1) + "\n",
-                      args.output)
-    else:
-        _write_output(moments_mod.moments_to_csv(rows), args.output)
+    rows = moments_mod.moment_table(_parse_range(args.kappa), atol=args.atol)
+    _write_table(args, ("kappa", "quantity", "numeric", "asymptotic", "diff", "envelope"),
+                 [(r.kappa, r.quantity, r.value, r.asymptotic, r.diff, r.envelope)
+                  for r in rows], [asdict(r) for r in rows])
     return 0
 
 
 def cmd_bound(args) -> int:
-    kappas = _parse_range(args.kappa)
-    rows = bounds_mod.table(kappas, numeric=not args.no_numeric,
+    rows = bounds_mod.table(_parse_range(args.kappa), numeric=not args.no_numeric,
                             slack=args.slack, atol=args.atol)
-    if args.format == "json":
-        _write_output(bounds_mod.table_to_json(rows) + "\n", args.output)
-    else:
-        _write_output(bounds_mod.table_to_csv(rows), args.output)
+    _write_table(args, [f.name for f in fields(bounds_mod.BoundRow)],
+                 [astuple(r) for r in rows], [asdict(r) for r in rows])
     return 0
 
 
 def cmd_identity(args) -> int:
     L = parse_tuple_spec(args.tuple)
-    u = math.log(args.xi) / math.log(args.zp)
+    u = weights_mod.support_u(args.xi, args.zp)
     P = None
     if args.poly:
         coeffs = tuple(float(c) for c in args.poly.split(","))
@@ -110,14 +116,13 @@ def cmd_identity(args) -> int:
     W = weights_mod.RichertWeights(b=args.b, y=args.y, z=args.z)
     inst = weights_mod.SieveInstance(L, args.x)
     dec = weights_mod.decompose(inst, W, S)
-    payload = {
+    _write_json({
         "tuple": L.label(), "x": args.x, "z": args.z, "z_prime": args.zp,
         "xi": args.xi, "b": args.b, "y": args.y, "mode": dec.mode,
         "lhs": _num(dec.lhs), "main": _num(dec.main), "error": _num(dec.error),
         "residual": _num(dec.residual),
         "residual_is_zero": dec.residual == 0,
-    }
-    _write_output(json.dumps(payload, indent=1) + "\n", args.output)
+    }, args.output)
     return 0
 
 
@@ -127,25 +132,22 @@ def cmd_search(args) -> int:
     # --density counts through its own search: the histogram is not needed
     if args.r is not None and args.density:
         rep = search_mod.density_report(L, args.x, args.r, **sieve)
-        _write_output(rep.to_json() + "\n", args.output)
+        _write_json(asdict(rep), args.output, indent=None, sort_keys=True)
         return 0
     hist = search_mod.omega_profile(L, args.x, **sieve)
     if args.r is not None:
         _write_output(f"{hist.count_at_most(args.r)}\n", args.output)
-        return 0
-    if args.format == "json":
-        payload = {"tuple": L.label(), "x": args.x, "excluded": hist.excluded,
-                   "counts": {str(k): v for k, v in hist.counts.items()}}
-        _write_output(json.dumps(payload, indent=1) + "\n", args.output)
     else:
-        _write_output(search_mod.histogram_to_csv(hist), args.output)
+        _write_table(args, ("omega", "count"), sorted(hist.counts.items()),
+                     {"tuple": L.label(), "x": args.x, "excluded": hist.excluded,
+                      "counts": {str(k): v for k, v in hist.counts.items()}})
     return 0
 
 
 def cmd_params(args) -> int:
     p = bounds_mod.choose_params(args.kappa, args.r, delta=args.delta,
                                  eps=args.eps, alpha=args.alpha)
-    _write_output(json.dumps(p.to_json(), indent=1) + "\n", args.output)
+    _write_json(asdict(p), args.output)
     return 0
 
 

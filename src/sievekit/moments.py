@@ -24,8 +24,6 @@ fixtures.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -361,16 +359,3 @@ def moment_table(kappas, atol: float = 1e-8) -> list[MomentReport]:
         rows.append(moment_J2(k, i=0, J=J, atol=atol))
     return rows
 
-
-def moments_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kappa", "quantity", "numeric", "asymptotic", "diff", "envelope"])
-    for r in rows:
-        writer.writerow([
-            r.kappa, r.quantity, f"{r.value:.12g}",
-            "" if r.asymptotic is None else f"{r.asymptotic:.12g}",
-            "" if r.diff is None else f"{r.diff:.12g}",
-            "" if r.envelope is None else f"{r.envelope:.12g}",
-        ])
-    return buf.getvalue()

@@ -36,7 +36,6 @@ changes nothing but wall time.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -141,14 +140,16 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     Deterministic regardless of segment size or thread count: segment
     results are integer counters merged by addition.  Raises
     BudgetExceeded when x > X_CAP and Int64Overflow when a*n or a*n + b
-    leaves the signed 64-bit range; ValueError when x < 0 or
-    segment_size < 1.
+    leaves the signed 64-bit range; ValueError when x < 0,
+    segment_size < 1 or threads < 1.
     """
     x = int(x)
     if x < 0:
         raise ValueError("x must be >= 0")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if x > X_CAP:
         raise BudgetExceeded(f"x = {x} above cap {X_CAP}")
     if x == 0:
@@ -165,7 +166,7 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     spans = [(lo, min(lo + segment_size, x + 1))
              for lo in range(1, x + 1, segment_size)]
     # each of k threads takes every k-th segment, with its own buffers
-    k = max(1, min(threads, len(spans)))
+    k = min(threads, len(spans))
     if k == 1:
         results = [_segments_histogram(L, spans, classes)]
     else:
@@ -198,9 +199,6 @@ class DensityReport:
     comparator: float
     ratio: float
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
 
 def density_report(L: LinearSystem, x: int, r: int, **kwargs) -> DensityReport:
     if x < 3:
@@ -209,8 +207,3 @@ def density_report(L: LinearSystem, x: int, r: int, **kwargs) -> DensityReport:
     comparator = x / math.log(x) ** L.kappa
     return DensityReport(L.label(), x, r, count, comparator, count / comparator)
 
-
-def histogram_to_csv(hist: OmegaHistogram) -> str:
-    lines = ["omega,count"]
-    lines += [f"{k},{v}" for k, v in sorted(hist.counts.items())]
-    return "\n".join(lines) + "\n"

@@ -237,9 +237,16 @@ def _dual(lat: SupportLattice, values: dict, to_lambda: bool, exact: bool) -> di
     return {m: div(lat.mu[m] * outer[m] * a, q * t * rho[m]) for m, a in acc.items()}
 
 
+def support_u(xi: float, z_prime: float) -> float:
+    """u = log xi / log z', so that xi = z'^u.  DomainError unless z' > 1."""
+    if z_prime <= 1:
+        raise DomainError(f"z' = {z_prime:g} must be > 1")
+    return math.log(xi) / math.log(z_prime)
+
+
 def _poly_zeta(P: SievePolynomial, xi: float, z_prime: float, sf,
                exact: bool) -> dict:
-    u = math.log(xi) / math.log(z_prime)
+    u = support_u(xi, z_prime)
     if P.u < u * (1.0 - 1e-12):
         raise DomainError(f"P defined on [0,{P.u}] but u = {u:.6g}")
     out = {}

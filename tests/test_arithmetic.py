@@ -310,3 +310,9 @@ class TestTupleSpec:
         path = tmp_path / "tuple.json"
         path.write_text('{"forms": [[1, 0], [1, 4]]}')
         assert parse_tuple_spec(str(path)).kappa == 2
+
+    def test_file_without_forms_object(self, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text("[[1, 0], [1, 4]]")
+        with pytest.raises(ValueError, match="list of integer pairs"):
+            parse_tuple_spec(str(path))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -11,8 +10,6 @@ from sievekit.bounds import (
     r_bound_numeric,
     r_floor,
     table,
-    table_to_csv,
-    table_to_json,
 )
 from sievekit.delay_ode import EULER_GAMMA, solve_j
 from sievekit.errors import InfeasibleB
@@ -174,11 +171,3 @@ class TestTable:
         row = table([150], numeric=True)[0]
         assert row.r_numeric is None
         assert "120" in row.note
-
-    def test_csv_and_json(self):
-        rows = table([10, 20], numeric=False)
-        text = table_to_csv(rows)
-        assert text.splitlines()[0].startswith("kappa,r_explicit")
-        assert len(text.splitlines()) == 3
-        data = json.loads(table_to_json(rows))
-        assert data[0]["kappa"] == 10

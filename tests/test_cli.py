@@ -1,8 +1,12 @@
+import ast
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import sievekit
 from sievekit import search
 from sievekit.cli import main
 from sievekit.delay_ode import EULER_GAMMA
@@ -32,6 +36,16 @@ class TestBound:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_csv_and_json(self, capsys):
+        code, text, _ = run_cli(capsys, "bound", "--kappa", "10,20", "--no-numeric")
+        assert code == 0
+        assert text.splitlines()[0].startswith("kappa,r_explicit")
+        assert len(text.splitlines()) == 3
+        code, out, _ = run_cli(capsys, "bound", "--kappa", "10,20", "--no-numeric",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["kappa"] == 10
+
 
 class TestIdentity:
     def test_spec_example_residual_zero(self, capsys):
@@ -49,6 +63,15 @@ class TestIdentity:
         assert code == 0
         data = json.loads(out)
         assert abs(data["residual"]) <= 1e-6 * abs(data["lhs"])
+
+    @pytest.mark.parametrize("poly", [[], ["--poly", "1"]])
+    def test_zp_one_exit_2(self, capsys, poly):
+        # u = log xi / log z' needs z' > 1
+        code, out, err = run_cli(capsys, "identity", "--tuple", "0", "--x", "100",
+                                 "--z", "10", "--zp", "1", "--xi", "10", *poly)
+        assert code == 2
+        assert out == ""
+        assert err == "error: z' = 1 must be > 1\n"
 
 
 class TestSearch:
@@ -70,6 +93,17 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["r"] == 4
 
+    def test_density_json_x(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--tuple", "0,2", "--x", "1000",
+                               "--r", "3", "--density")
+        assert code == 0
+        assert '"x": 1000' in out
+
+    def test_csv_output(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--tuple", "0,2", "--x", "3")
+        assert code == 0
+        assert out == "omega,count\n1,1\n2,1\n3,1\n"
+
     def test_density_searches_once(self, capsys, monkeypatch):
         calls = []
         inner = search.omega_profile
@@ -87,13 +121,17 @@ class TestSearch:
                        '"count": 19316, "r": 4, "ratio": 25.602865975500183, '
                        '"x": 100000}\n')
 
-    @pytest.mark.parametrize("size", ["0", "-5"])
-    def test_segment_size_below_one_exit_2(self, capsys, size):
+    @pytest.mark.parametrize("flag,value", [
+        ("--segment-size", "0"), ("--segment-size", "-5"),
+        ("--threads", "0"), ("--threads", "-4"),
+    ], ids=["0", "-5", "threads-0", "threads--4"])
+    def test_segment_size_below_one_exit_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "search", "--tuple", "0,2", "--x", "100",
-                                 "--segment-size", size)
+                                 flag, value)
         assert code == 2
         assert out == ""
-        assert err == "error: segment_size must be >= 1\n"
+        name = flag.removeprefix("--").replace("-", "_")
+        assert err == f"error: {name} must be >= 1\n"
 
 
 class TestMoments:
@@ -117,6 +155,14 @@ class TestMoments:
         assert code == 0
         assert out.splitlines()[3].endswith(",,,")
 
+    def test_csv_shape(self, capsys):
+        code, text, _ = run_cli(capsys, "moments", "--kappa", "10")
+        assert code == 0
+        lines = text.strip().split("\n")
+        assert lines[0] == "kappa,quantity,numeric,asymptotic,diff,envelope"
+        assert len(lines) == 4
+        assert lines[1].startswith("10,J1(0),")
+
 
 class TestParamsAndJfun:
     def test_params_echo(self, capsys):
@@ -132,6 +178,19 @@ class TestParamsAndJfun:
         lines = out.strip().splitlines()
         assert lines[0] == "w,log_q,j,j_prime"
         assert len(lines) == 10
+
+    def test_jfun_json_is_strict(self, capsys):
+        # log q(0) = -inf has no JSON spelling: it goes out as null
+        code, out, _ = run_cli(capsys, "jfun", "--kappa", "2", "--w-max", "2.0",
+                               "--grid", "8", "--format", "json")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        grid = json.loads(out, parse_constant=reject)["grid"]
+        assert grid[0]["log_q"] is None
+        assert all(isinstance(g["log_q"], float) for g in grid[1:])
 
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_jfun_grid_below_one_exit_2(self, capsys, grid):
@@ -180,6 +239,16 @@ class TestContracts:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("spec", [
+        '{"form": [[1, 0]]}', '{"forms": 5}', '{"forms": [5]}',
+        '{"forms": [[1, null]]}', '{"forms": [[1.5, 2]]}',
+    ])
+    def test_malformed_tuple_spec_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "search", "--tuple", spec, "--x", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bad_args_exit_2(self, capsys):
         assert run_cli(capsys, "bound", "--kappa", "abc")[0] == 2
 
@@ -194,3 +263,58 @@ class TestContracts:
         assert code == 0
         assert out == ""
         assert path.read_text().splitlines()[1].startswith("100,502")
+
+
+# stdout sha256 of each command line; all but the jfun JSON (whose
+# log q(0) is now null) as sievekit printed them before the CLI took over
+# all output formatting
+STDOUT_SHA256 = {
+    "jfun-csv": ("jfun --kappa 2 --w-max 2.0 --grid 8",
+                 "cc3b75e7ca7d23e6dd0c215b71abf0e70ba78adcffa315c6f16fb848bf0f10bf"),
+    "jfun-json": ("jfun --kappa 2 --w-max 2.0 --grid 8 --format json",
+                  "616bd342c245e63b1d0ad374dffd3f3f6c6ab08cf47b0e8e61690978e6faaf63"),
+    "moments-csv": ("moments --kappa 1,10",
+                    "9579fd81e98bb47b2f7ff4e2d7a9c48e1a73fabc6f97befe4cbcbd076337de90"),
+    "moments-json": ("moments --kappa 1,10 --format json",
+                     "775dc8dc3aae2fe0052e68be41a7a5a572030a35cb5cdc9c5125d39ba607fe1b"),
+    "bound-csv": ("bound --kappa 10,130",
+                  "777ed3389e3acd173ec978f422815e2347db3c87de0b3d9291c321d0e3470e1d"),
+    "bound-json": ("bound --kappa 10,130 --format json",
+                   "7b9970f6a45dbb408339d6588c23d864d20c5d049143c55d95a2a640dddf7952"),
+    "search-csv": ("search --tuple 0,2 --x 1000",
+                   "feb388350c05a1d5c33fd87a6fad382661e1ca549285c8cb7f4b9b2c89526ac3"),
+    "search-json": ("search --tuple 0,2 --x 1000 --format json",
+                    "1e0f33229bb6d62b699be30177261dcf49963fbe2051bf4db285a14798dff1e8"),
+    "search-r": ("search --tuple 0,2 --x 1000 --r 3",
+                 "4a6082659f35a2809c92fdf5707625c448b72cdf0a4e0c55a68c722bc8136947"),
+    "search-density": ("search --tuple 0,2 --x 1000 --r 3 --density",
+                       "69d6520aa4c33458d087dab1a17470cdaa4e6706dc93c08e7f595365e89a8fc5"),
+    "params": ("params --kappa 100 --r 502",
+               "17de1da4930e70285decc075258e36806c9ebed61c6b5d7a03c5e8a9de9e4e37"),
+    "identity-float": ("identity --tuple 0,2 --x 200 --z 12 --zp 8 --xi 12 --b 2 --y 4",
+                       "6ae52c9a7d5715914f59400adc622f6f11908eb420d3ab382b79015360f27a9a"),
+    "identity-exact": ("identity --tuple 0 --x 100 --z 10 --zp 10 --xi 10 --exact",
+                       "9dc206127d54f68fb91a44728cca20b84bba84136460480bc7fd44cad03e2afc"),
+}
+
+
+@pytest.mark.parametrize("command,sha256", STDOUT_SHA256.values(), ids=STDOUT_SHA256)
+def test_stdout_pinned(capsys, command, sha256):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_only_the_cli_formats_output():
+    src = Path(sievekit.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+        if path.name != "cli.py":
+            assert not imported & {"csv", "io"}, path.name
+        if path.name in ("bounds.py", "moments.py", "search.py"):
+            assert "json" not in imported, path.name

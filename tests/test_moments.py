@@ -13,8 +13,6 @@ from sievekit.moments import (
     main_integrals,
     moment_J1,
     moment_J2,
-    moment_table,
-    moments_to_csv,
     ratio1_asymptotic,
     ratio2_asymptotic,
     ratios,
@@ -278,13 +276,3 @@ class TestMpmathReference:
         assert mi.i1 == pytest.approx(reference["I1"], abs=1e-14)
         assert mi.i2 == pytest.approx(reference["I2"], abs=1e-14)
         assert mi.i3 == pytest.approx(reference["I3"], abs=1e-14)
-
-
-class TestReporting:
-    def test_csv_shape(self, jfun):
-        rows = moment_table([10])
-        text = moments_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "kappa,quantity,numeric,asymptotic,diff,envelope"
-        assert len(lines) == 4
-        assert lines[1].startswith("10,J1(0),")

@@ -14,7 +14,6 @@ from sievekit.errors import BudgetExceeded, Int64Overflow, LimitTooLarge
 from sievekit.search import (
     count_at_most,
     density_report,
-    histogram_to_csv,
     omega_profile,
 )
 
@@ -270,12 +269,3 @@ class TestDensity:
         rep = density_report(tuple_n, 10 ** 4, 1)
         assert rep.count == 1230
         assert rep.comparator == pytest.approx(10 ** 4 / math.log(10 ** 4))
-
-    def test_json(self, twin):
-        rep = density_report(twin, 1000, 3)
-        assert '"x": 1000' in rep.to_json()
-
-
-def test_csv_output(twin):
-    h = omega_profile(twin, 3)
-    assert histogram_to_csv(h) == "omega,count\n1,1\n2,1\n3,1\n"
