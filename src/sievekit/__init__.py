@@ -4,7 +4,6 @@ asymptotics, Selberg/Richert weight systems with an exactly verifiable
 decomposition, bound tables and an empirical Omega counter."""
 
 from .arithmetic import (
-    ArithmeticTables,
     LinearSystem,
     arithmetic_tables,
     build_system,

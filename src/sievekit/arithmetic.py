@@ -1,5 +1,5 @@
 """Integer substrate: linear-form systems, local densities, multiplicative
-functions f and f', singular products, Mertens-type sums and prime tables.
+functions f and f', singular products, Mertens-type sums and the prime sieve.
 
 A system is a product of integer linear forms a_i*n + b_i.  The local
 density rho(d) counts roots of the product mod d; for squarefree d it is
@@ -75,15 +75,16 @@ def build_system(forms) -> LinearSystem:
     """Validate a list of (a, b) pairs and return a LinearSystem.
 
     Raises ValueError unless ``forms`` is a non-empty list of integer
-    pairs, GcdViolation when some gcd(a_i, b_i) != 1 and ZeroDiscriminant
+    (not bool) pairs, GcdViolation when some gcd(a_i, b_i) != 1 and ZeroDiscriminant
     when the discriminant vanishes (covers a_i = 0 and repeated or
     proportional forms).
     """
     try:
-        canon = [(operator.index(a), operator.index(b)) for a, b in forms]
+        pairs = [(a, b) for a, b in forms]
+        canon = [(operator.index(a), operator.index(b)) for a, b in pairs]
     except (TypeError, ValueError):
-        canon = []
-    if not canon:
+        pairs = canon = []
+    if not canon or any(isinstance(v, bool) for pair in pairs for v in pair):
         raise ValueError("forms must be a non-empty list of integer pairs [a, b]")
     for a, b in canon:
         if math.gcd(a, b) != 1:
@@ -368,57 +369,28 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# sieve tables
+# prime sieve
 
-@dataclass(frozen=True)
-class ArithmeticTables:
-    """Sieve output up to ``limit`` (inclusive): ascending primes,
-    least-prime-factor array and Moebius array."""
-
-    limit: int
-    primes: np.ndarray
-    least_prime_factor: np.ndarray
-    moebius: np.ndarray
-
-
-def arithmetic_tables(limit: int) -> ArithmeticTables:
-    """Sieve primes, least prime factors and Moebius values up to limit;
+def arithmetic_tables(limit: int) -> np.ndarray:
+    """Ascending int64 array of the primes <= limit, by a boolean sieve of
+    Eratosthenes; the one prime sieve behind every prime list here.
     LimitTooLarge above TABLE_CAP."""
     limit = int(limit)
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > TABLE_CAP:
         raise LimitTooLarge(f"limit {limit} exceeds cap {TABLE_CAP}")
-    lpf = np.zeros(limit + 1, dtype=np.int64)
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    # rad[n] = product of the primes <= sqrt(limit) dividing n; it is at
-    # most n, so the smallest unsigned type holding limit suffices
-    rad = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
-        if lpf[p] == 0:
-            sl = lpf[p * p::p]
-            sl[sl == 0] = p
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
-            rad[p::p] *= p
-    # n > 1 with no prime factor <= sqrt(limit) is prime
-    primes = np.flatnonzero(lpf[2:] == 0) + 2
-    lpf[primes] = primes
-    # n <= limit has at most one prime factor above sqrt(limit), to the
-    # first power; it is there exactly when rad[n] < n for squarefree n
-    mu[rad < np.arange(limit + 1)] *= -1
-    return ArithmeticTables(limit, primes.astype(np.int64), lpf, mu)
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=64)
 def _primes_upto_list(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = b"\x00" * len(sieve[p * p::p])
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
+    return tuple(arithmetic_tables(limit).tolist())
 
 
 def _primes_below(z: float) -> tuple[int, ...]:

@@ -65,6 +65,8 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
     if alpha is None:
         # p^2-removal needs 1/U < 1 - 1/alpha; keep a comfortable margin
         alpha = 10.0 * U / (U - 1.0)
+    elif not 1.0 < alpha < math.inf:
+        raise ValueError(f"alpha = {alpha:g} must be finite and > 1")
     if 1.0 / U >= 1.0 - 1.0 / alpha:
         raise ValueError("alpha too small: need 1/U < 1 - 1/alpha")
     if u > l:

@@ -129,15 +129,15 @@ def cmd_identity(args) -> int:
 def cmd_search(args) -> int:
     L = parse_tuple_spec(args.tuple)
     sieve = {"segment_size": args.segment_size, "threads": args.threads}
-    # --density counts through its own search: the histogram is not needed
+    # a count or density needs no histogram
     if args.r is not None and args.density:
         rep = search_mod.density_report(L, args.x, args.r, **sieve)
         _write_json(asdict(rep), args.output, indent=None, sort_keys=True)
-        return 0
-    hist = search_mod.omega_profile(L, args.x, **sieve)
-    if args.r is not None:
-        _write_output(f"{hist.count_at_most(args.r)}\n", args.output)
+    elif args.r is not None:
+        count = search_mod.count_at_most(L, args.x, args.r, **sieve)
+        _write_output(f"{count}\n", args.output)
     else:
+        hist = search_mod.omega_profile(L, args.x, **sieve)
         _write_table(args, ("omega", "count"), sorted(hist.counts.items()),
                      {"tuple": L.label(), "x": args.x, "excluded": hist.excluded,
                       "counts": {str(k): v for k, v in hist.counts.items()}})

@@ -79,8 +79,10 @@ class SievePolynomial:
     u: float
 
     def __post_init__(self):
-        if self.u <= 0:
-            raise DomainError("u must be positive")
+        if not 0 < self.u < math.inf:
+            raise DomainError(f"u = {self.u:g} must be positive and finite")
+        if not all(map(math.isfinite, self.coef)):
+            raise DomainError(f"coefficients {self.coef} of P must be finite")
         ws = np.linspace(0.0, self.u, 2001)
         vals = np.polynomial.polynomial.polyval(ws, np.asarray(self.coef))
         if np.min(vals) <= 0.0:

@@ -159,7 +159,7 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     for (a, b), vmax in zip(L.forms, form_vmax):
         if max(vmax, abs(a) * x, abs(b)) >= _INT64_LIMIT:
             raise Int64Overflow(f"{a}*n + {b} does not fit in int64 for n <= {x}")
-    primes = arithmetic_tables(max(math.isqrt(max(form_vmax)) + 1, 3)).primes
+    primes = arithmetic_tables(max(math.isqrt(max(form_vmax)) + 1, 3))
     segment_size = min(segment_size, x)
     classes = [_sieve_classes(a, b, vmax, primes, segment_size)
                for (a, b), vmax in zip(L.forms, form_vmax)]
@@ -182,7 +182,10 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
 
 
 def count_at_most(L: LinearSystem, x: int, r: int, **kwargs) -> int:
-    """#{n <= x : L(n) != 0 and Omega(L(n)) <= r}."""
+    """#{n <= x : L(n) != 0 and Omega(L(n)) <= r}; ValueError when r < 0,
+    before any sieving."""
+    if r < 0:
+        raise ValueError(f"r = {r} must be >= 0")
     return omega_profile(L, x, **kwargs).count_at_most(r)
 
 

@@ -81,10 +81,18 @@ class RichertWeights:
     z: float
 
     def __post_init__(self):
+        _require_finite(b=self.b, y=self.y, z=self.z)
         if self.b <= 0:
             raise DomainError("b must be positive")
         if not (1.0 < self.y <= self.z):
             raise DomainError("need 1 < y <= z")
+
+
+def _require_finite(**values):
+    """DomainError naming the first non-finite value."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} = {v} must be finite")
 
 
 def richert_a(W: RichertWeights, d: int) -> float:
@@ -108,7 +116,8 @@ def support_elements(xi: float, z_prime: float,
                      budget: int = SUPPORT_NODE_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
     """Squarefree m < xi with all prime factors < z', as (m, primes)
     pairs sorted by m.  BudgetExceeded when the lattice has more than
-    ``budget`` nodes."""
+    ``budget`` nodes; DomainError when xi or z' is not finite."""
+    _require_finite(xi=xi, z_prime=z_prime)
     if xi <= 1:
         raise SupportEmpty("xi <= 1 leaves no support")
     out = list(itertools.islice(_products(_primes_below(min(z_prime, xi)), xi), budget + 1))
@@ -238,7 +247,9 @@ def _dual(lat: SupportLattice, values: dict, to_lambda: bool, exact: bool) -> di
 
 
 def support_u(xi: float, z_prime: float) -> float:
-    """u = log xi / log z', so that xi = z'^u.  DomainError unless z' > 1."""
+    """u = log xi / log z', so that xi = z'^u.  DomainError unless xi and
+    z' are finite and z' > 1."""
+    _require_finite(xi=xi, z_prime=z_prime)
     if z_prime <= 1:
         raise DomainError(f"z' = {z_prime:g} must be > 1")
     return math.log(xi) / math.log(z_prime)
@@ -372,6 +383,10 @@ class SieveInstance:
 
     L: LinearSystem
     x: int
+
+    def __post_init__(self):
+        if self.x < 0:
+            raise DomainError(f"x = {self.x} must be >= 0")
 
     def count_multiples(self, d: int) -> int:
         """|A_d| = #{n <= x : L(n) = 0 mod d}, counted by residue class."""

@@ -6,7 +6,7 @@ from sievekit.weights import build_lambda_system
 
 
 @pytest.fixture(scope="session")
-def tables_10k():
+def primes_10k():
     return arithmetic_tables(10_000)
 
 

@@ -20,6 +20,7 @@ from sievekit.arithmetic import (
     omega_L,
     parse_tuple_spec,
     rho,
+    _primes_upto_list,
     _roots_mod_prime,
     _rho_prime,
 )
@@ -43,21 +44,14 @@ def brute_rho(L, d):
 
 
 def loop_tables(limit):
-    """The per-prime sieve loop over every p <= limit, kept as the
-    reference for arithmetic_tables."""
+    """The primes <= limit by the least-prime-factor loop over every
+    p <= limit, kept as the reference for arithmetic_tables."""
     lpf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, limit + 1):
         if lpf[p] == 0:
             sl = lpf[p::p]
             sl[sl == 0] = p
-    primes = np.flatnonzero(lpf[2:] == np.arange(2, limit + 1)) + 2
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p::p * p] = 0
-    return primes, lpf, mu
+    return np.flatnonzero(lpf[2:] == np.arange(2, limit + 1)) + 2
 
 
 class TestBuildSystem:
@@ -81,6 +75,12 @@ class TestBuildSystem:
     def test_empty(self):
         with pytest.raises(ValueError):
             build_system([])
+
+    @pytest.mark.parametrize("forms", [[[True, 0]], [[1, 0], [1, False]]])
+    def test_bool_coefficient_rejected(self, forms):
+        # bool is an int subclass, so operator.index alone accepts it
+        with pytest.raises(ValueError, match="list of integer pairs"):
+            build_system(forms)
 
 
 class TestDiscriminant:
@@ -109,10 +109,10 @@ class TestRho:
             assert _rho_prime(twin, p) == brute_rho(twin, p)
             assert len(_roots_mod_prime(twin, p)) == brute_rho(twin, p)
 
-    def test_rho_equals_kappa_off_discriminant(self, tables_10k):
+    def test_rho_equals_kappa_off_discriminant(self, primes_10k):
         for offs in ([0, 2], [0, 2, 6], [0, 4, 6, 10]):
             L = from_offsets(offs)
-            for p in tables_10k.primes[tables_10k.primes < 1000]:
+            for p in primes_10k[primes_10k < 1000]:
                 p = int(p)
                 if p > L.kappa and L.delta % p != 0:
                     assert _rho_prime(L, p) == L.kappa
@@ -246,41 +246,29 @@ class TestOmegaL:
 
 class TestTables:
     def test_hand_table(self):
-        t = arithmetic_tables(10)
-        assert list(t.primes) == [2, 3, 5, 7]
-        assert t.moebius[6] == 1
-        assert t.moebius[4] == 0
+        assert arithmetic_tables(10).tolist() == [2, 3, 5, 7]
 
     def test_minimal(self):
-        assert list(arithmetic_tables(2).primes) == [2]
+        assert arithmetic_tables(2).tolist() == [2]
 
-    def test_lpf_and_nu(self):
-        t = arithmetic_tables(30)
-        assert t.least_prime_factor[30] == 2
-        assert t.moebius[30] == -1   # three prime factors
-
-    def test_invariants(self, tables_10k):
-        t = tables_10k
-        for p in (2, 97, 9973):
-            assert t.least_prime_factor[p] == p
-        # mu(d) = 0 iff a square divides d
-        for d in range(2, 500):
-            sqfree = all(e == 1 for _, e in factorize(d))
-            assert (t.moebius[d] != 0) == sqfree
+    def test_invariants(self, primes_10k):
+        # the sieve agrees with Miller-Rabin on every n <= 10^4
+        assert primes_10k.tolist() == [n for n in range(10_001) if is_prime(n)]
 
     def test_cap(self):
         with pytest.raises(LimitTooLarge):
             arithmetic_tables(10 ** 12)
+        with pytest.raises(ValueError):
+            arithmetic_tables(1)
 
-    @pytest.mark.parametrize("limit", [2, 10, 30, 10 ** 4, 10 ** 6])
+    # 3,162,278 = isqrt(10^13) + 1 is the table of the 1e13 search tests
+    @pytest.mark.parametrize("limit", [2, 10, 30, 10 ** 4, 10 ** 6, 3_162_278])
     def test_matches_loop_sieve(self, limit):
-        t = arithmetic_tables(limit)
-        primes, lpf, mu = loop_tables(limit)
-        assert np.array_equal(t.primes, primes)
-        assert np.array_equal(t.least_prime_factor, lpf)
-        assert np.array_equal(t.moebius, mu)
-        assert t.primes.dtype == t.least_prime_factor.dtype == np.int64
-        assert t.moebius.dtype == np.int8
+        primes = arithmetic_tables(limit)
+        assert np.array_equal(primes, loop_tables(limit))
+        assert primes.dtype == np.int64
+        # every other prime list reads the same sieve
+        assert _primes_upto_list(limit) == tuple(primes.tolist())
 
 
 class TestPrimality:

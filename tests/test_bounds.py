@@ -46,6 +46,11 @@ class TestChooseParams:
             assert p.r > 2 * kappa - 10.0 / 9.0
             assert 1.0 / p.U < 1.0 - 1.0 / p.alpha
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, math.nan, math.inf])
+    def test_alpha_must_be_finite_above_one(self, alpha):
+        with pytest.raises(ValueError, match="must be finite and > 1"):
+            choose_params(10, 50, alpha=alpha)
+
     def test_slacks_enter(self):
         base = choose_params(10, 50)
         assert choose_params(10, 50, delta=0.01).U == pytest.approx(base.U + 0.01)

@@ -217,6 +217,39 @@ class TestContracts:
         assert code == 2
         assert "error" in err
 
+    IDENTITY = ("identity", "--tuple", "0,2", "--x", "100", "--z", "10", "--zp", "10",
+                "--xi", "10")
+    PARAMS = ("params", "--kappa", "10", "--r", "50")
+    SEARCH = ("search", "--tuple", "0,2", "--x", "10")
+
+    @pytest.mark.parametrize("argv,message", [
+        (PARAMS + ("--alpha", "0"), "alpha = 0 must be finite and > 1"),
+        (PARAMS + ("--alpha", "-1"), "alpha = -1 must be finite and > 1"),
+        (PARAMS + ("--alpha", "1"), "alpha = 1 must be finite and > 1"),
+        (PARAMS + ("--alpha", "nan"), "alpha = nan must be finite and > 1"),
+        (PARAMS + ("--alpha", "inf"), "alpha = inf must be finite and > 1"),
+        (IDENTITY + ("--poly", "1,nan"), "coefficients (1.0, nan) of P must be finite"),
+        (IDENTITY + ("--b", "inf", "--exact"), "b = inf must be finite"),
+        (IDENTITY + ("--b", "nan"), "b = nan must be finite"),
+        (IDENTITY + ("--y", "nan"), "y = nan must be finite"),
+        (IDENTITY + ("--z", "inf", "--exact"), "z = inf must be finite"),
+        (IDENTITY + ("--zp", "nan"), "z_prime = nan must be finite"),
+        (IDENTITY + ("--zp", "inf"), "z_prime = inf must be finite"),
+        (IDENTITY + ("--xi", "nan"), "xi = nan must be finite"),
+        (IDENTITY + ("--xi", "inf"), "xi = inf must be finite"),
+        (IDENTITY + ("--x", "-5"), "x = -5 must be >= 0"),
+        (SEARCH + ("--r", "-1"), "r = -1 must be >= 0"),
+        (SEARCH + ("--r", "-1", "--density"), "r = -1 must be >= 0"),
+    ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
+            "b-inf", "b-nan", "y-nan", "z-inf", "zp-nan", "zp-inf", "xi-nan", "xi-inf",
+            "x--5", "r--1", "r--1-density"])
+    def test_bad_value_exit_2(self, capsys, argv, message):
+        # a later --z, --x, ... overrides the one in IDENTITY
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_budget_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "search", "--tuple", "0,2",
                                "--x", str(10 ** 10), "--r", "2")
@@ -241,7 +274,7 @@ class TestContracts:
 
     @pytest.mark.parametrize("spec", [
         '{"form": [[1, 0]]}', '{"forms": 5}', '{"forms": [5]}',
-        '{"forms": [[1, null]]}', '{"forms": [[1.5, 2]]}',
+        '{"forms": [[1, null]]}', '{"forms": [[1.5, 2]]}', '{"forms": [[true, 0]]}',
     ])
     def test_malformed_tuple_spec_exit_2(self, capsys, spec):
         code, out, err = run_cli(capsys, "search", "--tuple", spec, "--x", "10")

@@ -85,6 +85,12 @@ class TestSievePolynomial:
         with pytest.raises(DomainError):
             SievePolynomial((0.0, 1.0), 1.0)   # zero at w = 0
 
+    @pytest.mark.parametrize("coef,u", [((1.0, math.nan), 2.0), ((math.inf,), 2.0),
+                                        ((1.0,), math.nan), ((1.0,), math.inf)])
+    def test_non_finite_rejected(self, coef, u):
+        with pytest.raises(DomainError, match="must be"):
+            SievePolynomial(coef, u)
+
     def test_range(self):
         P = SievePolynomial((1.0, 1.0), 2.0)
         lo, hi = P.range_on_domain()

@@ -47,7 +47,7 @@ def reference_profile(L, x):
     the found part of the value, and the value counts one more prime
     when found < |value|.  Runs [1, x] as one segment."""
     form_vmax = [max(abs(a + b), abs(a * x + b)) for a, b in L.forms]
-    primes = arithmetic_tables(max(math.isqrt(max(form_vmax)) + 1, 3)).primes
+    primes = arithmetic_tables(max(math.isqrt(max(form_vmax)) + 1, 3))
     lo, hi = 1, x + 1
     n = np.arange(lo, hi, dtype=np.int64)
     omega = np.zeros(hi - lo, dtype=np.int32)
@@ -238,6 +238,12 @@ class TestCounts:
     def test_r_zero_edge(self, tuple_n, twin):
         assert count_at_most(tuple_n, 100, 0) == 1   # only n = 1
         assert count_at_most(twin, 100, 0) == 0
+
+    @pytest.mark.parametrize("count", [count_at_most, density_report])
+    def test_negative_r_raises_before_sieving(self, twin, count):
+        # x above X_CAP would raise BudgetExceeded once sieving started
+        with pytest.raises(ValueError, match=r"^r = -1 must be >= 0$"):
+            count(twin, 10 ** 10, -1)
 
     def test_consistent_with_profile_partial_sums(self, twin):
         h = omega_profile(twin, 2000)

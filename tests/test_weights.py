@@ -63,6 +63,13 @@ class TestRichert:
         with pytest.raises(DomainError):
             RichertWeights(b=1.0, y=20.0, z=10.0)
 
+    @pytest.mark.parametrize("name", ["b", "y", "z"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        kw = {"b": 2.0, "y": 3.0, "z": 10.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} = {value} must be finite$"):
+            RichertWeights(**kw)
+
 
 class TestSupport:
     def test_small(self):
@@ -76,6 +83,15 @@ class TestSupport:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             support_elements(10 ** 6, 10 ** 6, budget=100)
+
+    @pytest.mark.parametrize("fn", [support_elements, weights.support_u])
+    @pytest.mark.parametrize("xi,zp,message", [
+        (math.inf, 10, "xi = inf"), (math.nan, 10, "xi = nan"),
+        (10, math.inf, "z_prime = inf"), (10, math.nan, "z_prime = nan"),
+    ])
+    def test_non_finite_rejected(self, fn, xi, zp, message):
+        with pytest.raises(DomainError, match=f"^{message} must be finite$"):
+            fn(xi, zp)
 
 
 class TestZetaLambda:
@@ -378,6 +394,11 @@ class TestGSum:
 
 
 class TestInstance:
+    def test_negative_x_rejected(self, twin):
+        with pytest.raises(DomainError, match=r"^x = -5 must be >= 0$"):
+            SieveInstance(twin, -5)
+        assert SieveInstance(twin, 0).count_multiples(3) == 0
+
     def test_counts_by_residue_match_scan(self, twin):
         inst = SieveInstance(twin, 200)
         for d in (1, 2, 3, 5, 6, 15, 21, 35):
