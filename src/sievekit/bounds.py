@@ -19,13 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delay_ode import EULER_GAMMA, JFunction, solve_j
+from .delay_ode import EULER_GAMMA, MAX_KAPPA, JFunction, solve_j
 from .errors import InfeasibleB
 from .moments import MainIntegrals, SievePolynomial, main_integrals
 
 LINEAR_COEFF = 1.0 + EULER_GAMMA / 2.0 + math.log(4.0)
-
-DDE_KAPPA_CAP = 120
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,15 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
     (+delta), V = l*U, b = r + 1 - (kappa + eps)*U.
 
     delta and eps are the vanishing slacks; they default to 0 and are
-    exposed for sensitivity runs.  Raises InfeasibleB when b <= 0, which
-    for zero slacks happens exactly when r <= 2*kappa - 10/9."""
+    exposed for sensitivity runs.  A slack only loosens its parameter, so
+    each must be finite and >= 0; then U >= 1 + 2u/l > 1.  Raises
+    InfeasibleB when b <= 0, which for zero slacks happens exactly when
+    r <= 2*kappa - 10/9."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
+    for name, slack in (("delta", delta), ("eps", eps)):
+        if not 0.0 <= slack < math.inf:
+            raise ValueError(f"{name} = {slack:g} must be finite and >= 0")
     u = kappa - 1.0 / 9.0
     l = 2.0 * kappa
     U = 1.0 + 2.0 * u / l + delta
@@ -91,6 +94,8 @@ def r_bound_explicit(kappa: int, slack: float = 0.0) -> int:
     slack*log(kappa), never below the floor r > 2*kappa - 10/9."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
+    if not math.isfinite(slack):
+        raise ValueError(f"slack = {slack:g} must be finite")
     t1, t2, t3 = explicit_terms(kappa)
     bound = t1 + t2 + t3 + slack * math.log(kappa)
     return max(math.floor(bound) + 1, r_floor(kappa))
@@ -155,7 +160,8 @@ class BoundRow:
 def table(kappas, numeric: bool = True, slack: float = 0.0,
           atol: float = 1e-8) -> list[BoundRow]:
     """One BoundRow per kappa, ordered by kappa.  The numeric column is
-    omitted (with a reason) above DDE_KAPPA_CAP."""
+    omitted (with a reason) above delay_ode.MAX_KAPPA, where the solver
+    refuses."""
     rows = []
     for kappa in sorted(set(int(k) for k in kappas)):
         t1, t2, t3 = explicit_terms(kappa)
@@ -163,12 +169,12 @@ def table(kappas, numeric: bool = True, slack: float = 0.0,
         r_num = None
         margin = None
         note = ""
-        if numeric and kappa <= DDE_KAPPA_CAP:
+        if numeric and kappa <= MAX_KAPPA:
             nb = r_bound_numeric(kappa, atol=atol)
             r_num = nb.r
             margin = nb.margin(nb.r)
         elif numeric:
-            note = f"numeric column needs kappa <= {DDE_KAPPA_CAP}"
+            note = f"numeric column needs kappa <= {MAX_KAPPA}"
         rows.append(BoundRow(kappa, r_exp, r_num, t1, t2, t3, margin, note))
     return rows
 

@@ -17,9 +17,13 @@ integrating term by term.  g has O(1) relative variation per interval
 for every kappa (q itself spans hundreds of orders of magnitude, which
 is why a direct polynomial representation of q would lose all relative
 accuracy at large kappa).  On (0, 1], g = 1 identically, so q = w^kappa
-is represented exactly there.  The solver builds each interval's
-expansion from the values at the Chebyshev-Gauss nodes through one
-fixed matrix per degree (discrete orthogonality of T_j at those nodes).
+is represented exactly there.  Each step is three products with fixed
+matrices cached per degree: the previous interval's values at t - 1
+(which has the same local coordinate there as t here, so the matrix is
+the Chebyshev-Vandermonde matrix of the nodes), the fit of the
+integrand's values at the Chebyshev-Gauss nodes to its coefficients
+(discrete orthogonality of T_j at those nodes), and the term-by-term
+integral from the interval's left end.
 
 Evaluation is scalar and sits inside scipy's quadrature, so it is kept
 to plain Python floats: each interval's coefficients are held as a
@@ -255,32 +259,45 @@ class JFunction:
 
 
 @functools.lru_cache(maxsize=8)
-def _collocation(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n+1 Chebyshev-Gauss nodes x_k and the matrix that maps values
-    at them to the degree-n interpolant's Chebyshev coefficients:
-    c_j = (2/(n+1)) sum_k f(x_k) T_j(x_k), halved for j = 0."""
+def _collocation(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n+1 Chebyshev-Gauss nodes x_k, the matrix that maps values at
+    them to the degree-n interpolant's Chebyshev coefficients,
+    c_j = (2/(n+1)) sum_k f(x_k) T_j(x_k) (halved for j = 0), and the
+    (n+2) x (n+1) matrix that maps a degree-n series in the local
+    coordinate x to the coefficients of its integral in t = m + (x+1)/2
+    from the interval's left end (chebint from -1, scaled by dt/dx = 1/2)."""
     nodes = np.cos(np.pi * (2.0 * np.arange(n + 1) + 1.0) / (2.0 * (n + 1)))
     fit = C.chebvander(nodes, n).T * (2.0 / (n + 1))
     fit[0] *= 0.5
-    nodes.flags.writeable = fit.flags.writeable = False
-    return nodes, fit
+    integrate = C.chebint(np.eye(n + 1), lbnd=-1.0, scl=0.5)
+    for a in (nodes, fit, integrate):
+        a.flags.writeable = False
+    return nodes, fit, integrate
+
+
+@functools.lru_cache(maxsize=32)
+def _previous_values(n: int, n_prev: int) -> np.ndarray:
+    """The matrix that maps the previous interval's degree-n_prev
+    coefficients to its values at t - 1 for the degree-n nodes t of this
+    interval.  t - 1 has the same local coordinate x_k there, so this is
+    the Chebyshev-Vandermonde matrix of the nodes."""
+    vander = C.chebvander(_collocation(n)[0], n_prev)
+    vander.flags.writeable = False
+    return vander
 
 
 def _solve_interval(kappa, m, coeffs, g_left, n):
     """Chebyshev coefficients of g on [m, m+1] plus a truncation estimate."""
-    nodes, fit = _collocation(n)
+    nodes, fit, integrate = _collocation(n)
     t = m + 0.5 * (nodes + 1.0)
-    if m == 1:
-        g_prev = np.ones_like(t)
-    else:
-        # t - 1 lies in [m-1, m]; local coordinate of that interval
-        g_prev = C.chebval(2.0 * (t - m) - 1.0, coeffs[m - 2])
     with np.errstate(under="ignore"):
-        integrand = np.exp(kappa * np.log1p(-1.0 / t) - np.log(t)) * g_prev
+        integrand = np.exp(kappa * np.log1p(-1.0 / t) - np.log(t))
+    if m > 1:  # g = 1 on (0, 1]
+        prev = coeffs[m - 2]
+        integrand *= _previous_values(n, len(prev) - 1) @ prev
     fc = fit @ integrand
-    hc = 0.5 * C.chebint(fc)
-    gc = -kappa * hc
-    gc[0] += g_left + kappa * _clenshaw(-1.0, hc[::-1].tolist())
+    gc = -kappa * (integrate @ fc)
+    gc[0] += g_left
     tail = abs(fc[-1]) + abs(fc[-2])
     return gc, kappa * tail
 
@@ -305,8 +322,10 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
         raise ValueError("need 1 <= w_max <= kappa + 2")
     if degree < 4:
         raise ValueError("degree must be >= 4")
-
     w_max, tol = float(w_max), float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol = {tol:g} must be finite and > 0")
+
     cache_path = None
     if cache_dir is not None:
         key = f"jfun_k{kappa}_w{w_max!r}_t{tol!r}_d{degree}.json"

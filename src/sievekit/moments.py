@@ -138,6 +138,8 @@ def _integral(jp, u, upper, coef, atol, log=False):
     ``log`` the first piece takes log(w) as the weight of QUADPACK's
     endpoint-singularity rule (QAWS), so the integrand it samples stays
     smooth at w = 0; the other pieces multiply by log(w)."""
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"atol = {atol:g} must be finite and > 0")
     rev = [float(a) for a in reversed(coef)]
 
     def f(w):

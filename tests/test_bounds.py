@@ -11,8 +11,8 @@ from sievekit.bounds import (
     r_floor,
     table,
 )
-from sievekit.delay_ode import EULER_GAMMA, solve_j
-from sievekit.errors import InfeasibleB
+from sievekit.delay_ode import EULER_GAMMA, MAX_KAPPA, solve_j
+from sievekit.errors import InfeasibleB, RangeOverflow
 from sievekit.moments import SievePolynomial, moment_J1, moment_J2
 
 
@@ -51,6 +51,13 @@ class TestChooseParams:
         with pytest.raises(ValueError, match="must be finite and > 1"):
             choose_params(10, 50, alpha=alpha)
 
+    @pytest.mark.parametrize("name,value", [
+        ("delta", -0.9888888888888889), ("delta", -1e-3), ("delta", math.nan),
+        ("delta", math.inf), ("eps", -0.5), ("eps", math.nan), ("eps", math.inf)])
+    def test_slacks_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} = .* must be finite and >= 0$"):
+            choose_params(10, 50, **{name: value})
+
     def test_slacks_enter(self):
         base = choose_params(10, 50)
         assert choose_params(10, 50, delta=0.01).U == pytest.approx(base.U + 0.01)
@@ -81,6 +88,11 @@ class TestExplicit:
 
     def test_slack_shifts(self):
         assert r_bound_explicit(100, slack=5.0) >= r_bound_explicit(100)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_slack_must_be_finite(self, slack):
+        with pytest.raises(ValueError, match="^slack = .* must be finite$"):
+            r_bound_explicit(100, slack=slack)
 
     def test_ratio_trend_large(self):
         prev = None
@@ -172,7 +184,16 @@ class TestTable:
         assert row.r_explicit == 502
         assert row.term_half_klogk == pytest.approx(230.2585, abs=1e-3)
 
-    def test_numeric_cap_marker(self):
-        row = table([150], numeric=True)[0]
-        assert row.r_numeric is None
-        assert "120" in row.note
+    @pytest.mark.parametrize("kappa,r_numeric,r_explicit", [
+        (130, 668, 669), (400, 2276, 2277), (MAX_KAPPA, 9512, 9514)])
+    def test_numeric_rows_above_120(self, kappa, r_numeric, r_explicit):
+        row = table([kappa])[0]
+        assert (row.r_numeric, row.r_explicit, row.note) == (r_numeric, r_explicit, "")
+        assert row.margin_at_r > 0.0
+
+    def test_note_only_where_the_solver_refuses(self):
+        row = table([MAX_KAPPA + 1])[0]
+        assert row.r_numeric is None and row.margin_at_r is None
+        assert row.note == f"numeric column needs kappa <= {MAX_KAPPA}"
+        with pytest.raises(RangeOverflow):
+            solve_j(MAX_KAPPA + 1, 2.0)

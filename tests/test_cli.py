@@ -221,6 +221,7 @@ class TestContracts:
                 "--xi", "10")
     PARAMS = ("params", "--kappa", "10", "--r", "50")
     SEARCH = ("search", "--tuple", "0,2", "--x", "10")
+    JFUN = ("jfun", "--kappa", "3")
 
     @pytest.mark.parametrize("argv,message", [
         (PARAMS + ("--alpha", "0"), "alpha = 0 must be finite and > 1"),
@@ -240,9 +241,28 @@ class TestContracts:
         (IDENTITY + ("--x", "-5"), "x = -5 must be >= 0"),
         (SEARCH + ("--r", "-1"), "r = -1 must be >= 0"),
         (SEARCH + ("--r", "-1", "--density"), "r = -1 must be >= 0"),
+        # U = 1 exactly at kappa = 10, where alpha = 10 U / (U - 1) has no value
+        (PARAMS + ("--delta", "-0.9888888888888889"),
+         "delta = -0.988889 must be finite and >= 0"),
+        # U = 1 + 9e-15 would give alpha ~ 1.1e15
+        (PARAMS + ("--delta", "-0.98888888888888"),
+         "delta = -0.988889 must be finite and >= 0"),
+        (PARAMS + ("--delta", "nan"), "delta = nan must be finite and >= 0"),
+        (PARAMS + ("--delta", "inf"), "delta = inf must be finite and >= 0"),
+        (PARAMS + ("--eps", "nan"), "eps = nan must be finite and >= 0"),
+        (PARAMS + ("--eps", "-1"), "eps = -1 must be finite and >= 0"),
+        (JFUN + ("--tol", "nan"), "tol = nan must be finite and > 0"),
+        (JFUN + ("--tol", "-1"), "tol = -1 must be finite and > 0"),
+        (JFUN + ("--tol", "0"), "tol = 0 must be finite and > 0"),
+        (("moments", "--kappa", "10", "--atol", "nan"), "atol = nan must be finite and > 0"),
+        (("bound", "--kappa", "10", "--atol", "-1"), "atol = -1 must be finite and > 0"),
+        (("bound", "--kappa", "10", "--slack", "nan"), "slack = nan must be finite"),
+        (("bound", "--kappa", "10", "--slack", "inf"), "slack = inf must be finite"),
     ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
             "b-inf", "b-nan", "y-nan", "z-inf", "zp-nan", "zp-inf", "xi-nan", "xi-inf",
-            "x--5", "r--1", "r--1-density"])
+            "x--5", "r--1", "r--1-density", "delta-U-1", "delta-U-near-1", "delta-nan",
+            "delta-inf", "eps-nan", "eps--1", "tol-nan", "tol--1", "tol-0", "atol-nan",
+            "atol--1", "slack-nan", "slack-inf"])
     def test_bad_value_exit_2(self, capsys, argv, message):
         # a later --z, --x, ... overrides the one in IDENTITY
         code, out, err = run_cli(capsys, *argv)
@@ -298,22 +318,24 @@ class TestContracts:
         assert path.read_text().splitlines()[1].startswith("100,502")
 
 
-# stdout sha256 of each command line; all but the jfun JSON (whose
-# log q(0) is now null) as sievekit printed them before the CLI took over
-# all output formatting
+# stdout sha256 of each command line.  The jfun JSON writes log q(0) as
+# null; the moments and bound lines carry the solver's last-digit floats
+# (checked against the older values by test_solver_outputs_frozen) and a
+# numeric kappa = 130 row; the rest are as sievekit printed them before
+# the CLI took over all output formatting.
 STDOUT_SHA256 = {
     "jfun-csv": ("jfun --kappa 2 --w-max 2.0 --grid 8",
                  "cc3b75e7ca7d23e6dd0c215b71abf0e70ba78adcffa315c6f16fb848bf0f10bf"),
     "jfun-json": ("jfun --kappa 2 --w-max 2.0 --grid 8 --format json",
                   "616bd342c245e63b1d0ad374dffd3f3f6c6ab08cf47b0e8e61690978e6faaf63"),
     "moments-csv": ("moments --kappa 1,10",
-                    "9579fd81e98bb47b2f7ff4e2d7a9c48e1a73fabc6f97befe4cbcbd076337de90"),
+                    "bb19b7492166083681c5bb05ddd88b79cf3abd82199f749b780aeebebc814776"),
     "moments-json": ("moments --kappa 1,10 --format json",
-                     "775dc8dc3aae2fe0052e68be41a7a5a572030a35cb5cdc9c5125d39ba607fe1b"),
+                     "153d0de662792ae570b49e2df70756e95a01ca9fafb854b3bd83ebd1c8a9151a"),
     "bound-csv": ("bound --kappa 10,130",
-                  "777ed3389e3acd173ec978f422815e2347db3c87de0b3d9291c321d0e3470e1d"),
+                  "873d6e8882aedb04b7d49dfb3e37e08a290f9d3924f5d7d82b750f69a7e5b0f5"),
     "bound-json": ("bound --kappa 10,130 --format json",
-                   "7b9970f6a45dbb408339d6588c23d864d20c5d049143c55d95a2a640dddf7952"),
+                   "c40feb4d85e4980d01676bc5e3b42fc8af59aa8ac7395ccd3bce16bc49199b06"),
     "search-csv": ("search --tuple 0,2 --x 1000",
                    "feb388350c05a1d5c33fd87a6fad382661e1ca549285c8cb7f4b9b2c89526ac3"),
     "search-json": ("search --tuple 0,2 --x 1000 --format json",
@@ -336,6 +358,29 @@ def test_stdout_pinned(capsys, command, sha256):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# bound and moments as sievekit printed them when each solver step still
+# called chebval on the previous interval and chebint on the integrand:
+# the cached per-degree matrices moved floats in the last digits only
+SOLVER_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "solver_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("name", SOLVER_OUTPUTS)
+def test_solver_outputs_frozen(capsys, name):
+    frozen = SOLVER_OUTPUTS[name]
+    code, out, _ = run_cli(capsys, *frozen["command"].split())
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == len(frozen["rows"])
+    for row, ref in zip(rows, frozen["rows"]):
+        assert row.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert abs(row[key] - value) <= 1e-11, (row["kappa"], key)
+            else:
+                assert row[key] == value, (row["kappa"], key)
 
 
 def test_only_the_cli_formats_output():

@@ -12,6 +12,7 @@ from sievekit.delay_ode import (
     SaddleParams,
     _clenshaw,
     _collocation,
+    _previous_values,
     c_kappa,
     eval_j,
     saddle_j_prime,
@@ -218,7 +219,7 @@ class TestJPrimeMemo:
 class TestCollocation:
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
     def test_matches_chebfit(self, n):
-        nodes, fit = _collocation(n)
+        nodes, fit, _ = _collocation(n)
         t = 7.0 + 0.5 * (nodes + 1.0)
         rng = np.random.default_rng(n)
         for f in (np.exp(40 * np.log1p(-1.0 / t) - np.log(t)),
@@ -226,6 +227,33 @@ class TestCollocation:
                   rng.standard_normal(n + 1)):
             ref = C.chebfit(nodes, f, n)
             assert np.max(np.abs(fit @ f - ref)) <= 1e-13 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n_prev", [32, 64, 128])
+    def test_previous_values_match_chebval(self, n, n_prev):
+        # relative to sum |c_j|, the bound of the series on [-1, 1]
+        nodes = _collocation(n)[0]
+        vander = _previous_values(n, n_prev)
+        rng = np.random.default_rng(1000 * n + n_prev)
+        # collocation at degree n_prev - 1 leaves n_prev + 1 coefficients
+        real = [c for c in coefficient_arrays(solve_j(40, 40 - 1.0 / 9.0, degree=n_prev - 1))
+                if len(c) == n_prev + 1]
+        assert len(real) == 39
+        for c in [rng.standard_normal(n_prev + 1)] + real:
+            err = np.max(np.abs(vander @ c - C.chebval(nodes, c)))
+            assert err <= 1e-14 * np.sum(np.abs(c))
+
+    @pytest.mark.parametrize("n", [4, 32, 64, 128, 256])
+    def test_integration_matches_chebint(self, n):
+        # chebint, minus its value at -1, halved for dt = dx/2
+        integrate = _collocation(n)[2]
+        rng = np.random.default_rng(n)
+        for c in (rng.standard_normal(n + 1), 1.0 / (1.0 + np.arange(n + 1)) ** 2):
+            ref = C.chebint(c)
+            ref[0] -= C.chebval(-1.0, ref)
+            ref *= 0.5
+            assert integrate.shape == (n + 2, n + 1)
+            assert np.max(np.abs(integrate @ c - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_low_degree_escalates(self):
         J = solve_j(10, 9.9, degree=4)
@@ -319,6 +347,54 @@ class TestSolve:
             solve_j(0, 1.0)
         with pytest.raises(ValueError):
             solve_j(3, 9.0)  # w_max > kappa + 2
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # no truncation estimate meets such a tol, so every interval would
+        # escalate to MAX_DEGREE and fail as a budget error
+        with pytest.raises(ValueError, match="^tol = .* must be finite and > 0$"):
+            solve_j(3, 2.9, tol=tol)
+
+
+def collocation_degrees(J):
+    """The collocation degree n of each interval; its integrated series
+    has degree n + 1, so n + 2 coefficients."""
+    return [len(rev) - 2 for rev in J._rev]
+
+
+class TestMixedDegrees:
+    """Solves whose first interval escalates and the next does not, so
+    that the previous-interval map joins two different degrees."""
+
+    def test_k1_closed_form(self):
+        J = solve_j(1, 3.0, degree=14)
+        assert collocation_degrees(J) == [28, 14]
+        ws = np.linspace(1.0 + 1e-9, 2.0, 1501)
+        assert max(abs(J.q(float(w)) - closed_form_k1(float(w))) for w in ws) <= 1e-10
+        ws = np.linspace(1.0 + 1e-6, 3.0, 400)
+        assert max(abs(J.representation_residual(float(w))) for w in ws) <= J.tol
+
+    def test_k2_closed_form_and_rk4_fixture(self):
+        J = solve_j(2, 4.0, degree=16)
+        assert collocation_degrees(J) == [32, 16, 16]
+        ws = np.linspace(1.0 + 1e-9, 2.0, 1501)
+        assert max(abs(J.q(float(w)) - closed_form_k2(float(w))) for w in ws) <= 1e-10
+        # 2.5 lies in the degree-16 interval fed by the degree-32 one
+        assert J.q(2.5) == pytest.approx(4.555053586124128, abs=1e-9)
+
+    def test_k10_rk4_oracle(self):
+        J = solve_j(10, 10 - 1.0 / 9.0, degree=16)
+        assert collocation_degrees(J) == [32] + [16] * 8
+        assert J.q(6.5) == pytest.approx(rk4_step_oracle(10, 6.5, h=2e-3), rel=1e-8)
+
+    def test_degree_independence(self):
+        u = 40 - 1.0 / 9.0
+        a = solve_j(40, u, degree=8)
+        degrees = collocation_degrees(a)
+        assert 16 in degrees and degrees.count(8) > 30
+        b = solve_j(40, u, degree=32)
+        ws = np.linspace(0.5, u, 300)
+        assert max(abs(a.q(float(w)) / b.q(float(w)) - 1.0) for w in ws) < 1e-10
 
 
 class TestEval:
