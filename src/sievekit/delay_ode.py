@@ -25,13 +25,18 @@ integrand's values at the Chebyshev-Gauss nodes to its coefficients
 (discrete orthogonality of T_j at those nodes), and the term-by-term
 integral from the interval's left end.
 
-Evaluation is scalar and sits inside scipy's quadrature, so it is kept
-to plain Python floats: each interval's coefficients are held as a
-reversed tuple of floats, and ``_clenshaw`` runs numpy's ``chebval``
-recurrence on them, operation for operation, so the values are
-bit-identical to ``chebval``.  ``JFunction.j_prime`` remembers the value
-at every argument it has seen, because the quadratures of one bound
-sample the same nodes several times.
+j' is evaluated two ways.  The integrals of ``moments`` need it at fixed
+Gauss-Legendre nodes of whole unit intervals, so ``JFunction.j_prime_nodes``
+computes it there for every interval at once, as arrays: g at the nodes
+of all intervals is one product of the coefficient matrix with a
+Chebyshev-Vandermonde matrix, g(v - 1) is the previous interval's row at
+the same local coordinate, and the table is kept on the instance.  The
+scalar evaluators serve everything else (the one partial piece of each
+integral, which scipy's quadrature samples, the CLI grid and the tests),
+so they are kept to plain Python floats: each interval's coefficients are
+held as a reversed tuple of floats, and ``_clenshaw`` runs numpy's
+``chebval`` recurrence on them, operation for operation, so the values
+are bit-identical to ``chebval``.
 
 Linear values of q overflow doubles once kappa*log(w) grows past ~709
 (around kappa = 150); j and j' themselves stay O(1) and are always
@@ -112,12 +117,11 @@ class JFunction:
     solution g(w) = q(w) * w^(-kappa); on (0, 1] the solution q = w^kappa
     is exact.  Each interval's coefficients are kept as a tuple of floats
     in reverse order (highest degree first), the form ``_clenshaw`` takes.
-    Instances are immutable after solve apart from one cache: ``j_prime``
-    stores j'(w) for each w it has evaluated, so a repeated quadrature
-    node costs one dict lookup.
+    Instances are immutable after solve apart from one cache:
+    ``j_prime_nodes`` stores its table per node count.
     """
 
-    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_j_prime_memo")
+    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_node_tables")
 
     def __init__(self, kappa, w_max, tol, degree, log_c, coeffs):
         self.kappa = kappa
@@ -126,7 +130,7 @@ class JFunction:
         self.degree = degree
         self.log_c = log_c
         self._rev = [tuple(reversed(np.asarray(c, dtype=float).tolist())) for c in coeffs]
-        self._j_prime_memo = {}
+        self._node_tables = {}
 
     # -- scaled representation ------------------------------------------
 
@@ -205,11 +209,58 @@ class JFunction:
         return self.log_c + self.log_q_prime(w)
 
     def j_prime(self, w: float) -> float:
-        jp = self._j_prime_memo.get(w)
-        if jp is None:
-            lj = self.log_j_prime(w)
-            jp = self._j_prime_memo[w] = math.exp(lj) if lj > _LOG_TINY else 0.0
-        return jp
+        lj = self.log_j_prime(w)
+        return math.exp(lj) if lj > _LOG_TINY else 0.0
+
+    def j_prime_nodes(self, n: int) -> np.ndarray:
+        """j' at the n Gauss-Legendre nodes t_k of every unit interval: row m
+        holds v = m + t_k, for m = 0 up to the number of solved intervals.
+
+        ``log_q_prime``'s formula on arrays, with its cut-offs: j' is 0
+        where q(v - 1) >= q(v) to machine precision or where log j' is at
+        most _LOG_TINY.  Row 0 is the closed form on (0, 1].  The last row
+        spans the whole top interval, beyond w_max when w_max is not an
+        integer; the solver fitted g on all of it.  The table is read-only
+        and computed once per n."""
+        table = self._node_tables.get(n)
+        if table is not None:
+            return table
+        t, _ = gauss_legendre(n)
+        k = self.kappa
+        v = np.arange(len(self._rev) + 1)[:, None] + t
+        log_v = np.log(v)
+        # built in place, one array per quantity, in the scalar operation order
+        table = (k - 1) * log_v
+        table[0] += math.log(k)
+        if self._rev:
+            coef = np.zeros((len(self._rev), max(map(len, self._rev))))
+            for row, rev in zip(coef, self._rev):
+                row[:len(rev)] = rev[::-1]
+            log_g = coef @ C.chebvander(2.0 * t - 1.0, coef.shape[1] - 1).T
+            np.log(log_g, out=log_g)
+            lq = k * log_v[1:]
+            lq += log_g
+            ratio = v[1:]
+            ratio -= 1.0
+            np.log(ratio, out=ratio)
+            ratio *= k  # log q(v - 1), with g = 1 on (0, 1]
+            ratio[1:] += log_g[:-1]
+            ratio -= lq
+            flat = ratio >= 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                diff = np.log1p(np.negative(np.exp(ratio, out=ratio), out=ratio), out=ratio)
+            diff += lq
+            np.add(diff, math.log(k), out=table[1:])
+            table[1:] -= log_v[1:]
+            table[1:][flat] = -math.inf
+        table += self.log_c
+        tiny = table <= _LOG_TINY
+        with np.errstate(under="ignore"):
+            np.exp(table, out=table)
+        table[tiny] = 0.0
+        table.flags.writeable = False
+        self._node_tables[n] = table
+        return table
 
     # -- diagnostics ------------------------------------------------------
 
@@ -256,6 +307,32 @@ class JFunction:
             float(data["log_c"]),
             data["coeffs"],
         )
+
+
+@functools.lru_cache(maxsize=4)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes on [0, 1], ascending, and their weights,
+    which sum to 1; read-only.
+
+    Newton's method on the Legendre polynomial P_n from Tricomi's
+    approximations to its roots, with P_n and P_n' from the three-term
+    recurrence.  (numpy's ``leggauss`` starts from a LAPACK eigensolve,
+    whose first call alone adds about 1 MB to the resident memory of a
+    process that otherwise never calls LAPACK.)"""
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones(n), x.copy()
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    t, weights = 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
+    for a in (t, weights):
+        a.flags.writeable = False
+    return t, weights
 
 
 @functools.lru_cache(maxsize=8)
@@ -320,8 +397,8 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
         raise RangeOverflow(f"kappa > {MAX_KAPPA}: scaled solution underflows")
     if not 1.0 <= w_max <= kappa + 2.0 + 1e-9:
         raise ValueError("need 1 <= w_max <= kappa + 2")
-    if degree < 4:
-        raise ValueError("degree must be >= 4")
+    if not 4 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree = {degree} must be between 4 and {MAX_DEGREE}")
     w_max, tol = float(w_max), float(tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol = {tol:g} must be finite and > 0")

@@ -15,8 +15,14 @@ with closed asymptotic forms at u = kappa - 1/9:
 Every one of these integrals, and every main-term integral, is
 int_0^u c(w) (log w)^(0 or 1) j'(u-w) dw with c a polynomial, and goes
 through one quadrature routine.  It subdivides at the knots u - m where
-j' loses smoothness, and integrates the log singularity at w = 0 with
-QUADPACK's log-weighted rule (QAWS) on the first piece.
+j' loses smoothness.  Each piece between two knots is a whole interval
+v = u - w in [m, m+1] of the delay-ODE solver, on which j' is analytic,
+so fixed-order Gauss-Legendre reaches machine precision there: the
+routine takes j' at the nodes of all these pieces from one table cached
+on the solution, and checks each piece against half as many nodes.  The
+piece at w = 0, which holds the log singularity, a whole piece that
+starts below w = 1/2, near it, and a piece cut short by the upper limit
+go to QUADPACK (QAWS with log w as its weight on the first piece).
 The O-term constants are not specified by the source asymptotics; the
 envelopes reported here carry constants calibrated once in the test
 fixtures.
@@ -31,7 +37,7 @@ import numpy as np
 import scipy.special as sc
 from scipy import integrate
 
-from .delay_ode import JFunction, SaddleParams, saddle_j_prime, solve_j
+from .delay_ode import JFunction, SaddleParams, gauss_legendre, saddle_j_prime, solve_j
 from .errors import DomainError, PoleError, QuadratureFailure
 
 RANGE_GRID = 4001
@@ -120,6 +126,8 @@ class SievePolynomial:
 
 _EPSREL = 1e-11
 _LIMIT = 200
+# Gauss-Legendre nodes per whole unit piece; GL_NODES // 2 check the result
+GL_NODES = 64
 
 
 def _quad(f, a, b, epsabs, **weight):
@@ -130,16 +138,53 @@ def _quad(f, a, b, epsabs, **weight):
     return val
 
 
-def _integral(jp, u, upper, coef, atol, log=False):
-    """int_0^upper c(w) (log w if ``log``) j'(u - w) dw, with c given by its
-    ascending monomial coefficients ``coef``.
+def _node_sums(nodes, rows, u, coef, log, n):
+    """n-node Gauss-Legendre value of each piece v = u - w in [m, m+1],
+    m in ``rows``, of int c(w) (log w if ``log``) j'(u - w) dw."""
+    t, weights = gauss_legendre(n)
+    w = np.subtract(u, np.asarray(rows)[:, None] + t)
+    f = np.polynomial.polynomial.polyval(w, coef)
+    f *= nodes(rows, n)
+    if log:
+        f *= np.log(w)
+    return f @ weights
 
-    The range is split at the knots u - m where j' loses smoothness.  With
-    ``log`` the first piece takes log(w) as the weight of QUADPACK's
-    endpoint-singularity rule (QAWS), so the integrand it samples stays
-    smooth at w = 0; the other pieces multiply by log(w)."""
+
+def _integral(jp, nodes, u, upper, coef, atol, log=False):
+    """int_0^upper c(w) (log w if ``log``) j'(u - w) dw, with c given by its
+    ascending monomial coefficients ``coef``.  ``jp(v)`` is j' at one
+    point, and ``nodes(rows, n)`` is j' at the n Gauss-Legendre nodes of
+    the unit intervals v in [m, m+1], one row per m in ``rows``.
+
+    The range is split at the knots u - m where j' loses smoothness.  A
+    whole piece w in [u-m-1, u-m] that starts at w >= 1/2, clear of the
+    log singularity, is the interval v in [m, m+1] and takes GL_NODES
+    nodes; it fails with QuadratureFailure unless half as many nodes agree
+    within QUADPACK's own rule, max(its share of atol, _EPSREL * |value|).
+    The other pieces go to QUADPACK: with ``log`` the first piece takes
+    log(w) as the weight of its endpoint-singularity rule (QAWS), so the
+    integrand it samples stays smooth at w = 0; the others multiply by
+    log(w)."""
     if not 0.0 < atol < math.inf:
         raise ValueError(f"atol = {atol:g} must be finite and > 0")
+    knots = range(math.ceil(u))
+    pts = [0.0] + sorted(u - m for m in knots if u - m < upper) + [upper]
+    per = atol / (len(pts) - 1)
+    rows = [m for m in knots if u - m <= upper and u - (m + 1) >= 0.5]
+    pieces = list(zip(pts, pts[1:]))
+    parts = []
+    if rows:
+        fine, coarse = (_node_sums(nodes, rows, u, coef, log, n)
+                        for n in (GL_NODES, GL_NODES // 2))
+        err = np.abs(fine - coarse)
+        for m, e, value in zip(rows, err, fine):
+            if e > max(per, _EPSREL * abs(value)):
+                raise QuadratureFailure(
+                    f"Gauss-Legendre on [{u - (m + 1)},{u - m}]: {GL_NODES} and "
+                    f"{GL_NODES // 2} nodes differ by {e:.3g}")
+        parts = fine.tolist()
+        lo, hi = u - (rows[-1] + 1), u - rows[0]
+        pieces = [(a, b) for a, b in pieces if b <= lo or a >= hi]
     rev = [float(a) for a in reversed(coef)]
 
     def f(w):
@@ -151,11 +196,10 @@ def _integral(jp, u, upper, coef, atol, log=False):
     def f_log(w):
         return math.log(w) * f(w)
 
-    pts = [0.0] + sorted(u - m for m in range(math.ceil(u)) if u - m < upper) + [upper]
-    per = atol / (len(pts) - 1)
+    (a, b), *rest = pieces
     log_weight = {"weight": "alg-loga", "wvar": (0, 0)} if log else {}
-    parts = [_quad(f, 0.0, pts[1], per, **log_weight)]
-    parts += [_quad(f_log if log else f, lo, hi, per) for lo, hi in zip(pts[1:], pts[2:])]
+    parts.append(_quad(f, a, b, per, **log_weight))
+    parts += [_quad(f_log if log else f, a, b, per) for a, b in rest]
     return math.fsum(parts)
 
 
@@ -179,20 +223,36 @@ class MomentReport:
     envelope: float | None
 
 
+def _dde_source(J, u):
+    """j' of the solved delay ODE, at one point and at the node table."""
+    if J.w_max < u * (1.0 - 1e-12):
+        raise DomainError("JFunction solved below u")
+
+    def nodes(rows, n):
+        return J.j_prime_nodes(n)[rows[0]:rows[-1] + 1]
+
+    return J.j_prime, nodes
+
+
 def _jprime_factory(kappa, u, source, J):
+    """(j' at one point, j' at the nodes of unit intervals, upper limit)."""
     if source == "dde":
         if J is None:
             J = solve_j(kappa, max(u, 1.0))
-        if J.w_max < u * (1.0 - 1e-12):
-            raise DomainError("JFunction solved below u")
-        return J.j_prime, u
+        return *_dde_source(J, u), u
     if source == "saddle":
         sp = SaddleParams(kappa, d=kappa - 1.0 / 3.0 - u)
         cutoff = min(u, kappa ** 0.6)
+
         def jp(v):
             # argument is u - w; map back to the saddle variable w
             return saddle_j_prime(sp, u - v)[0]
-        return jp, cutoff
+
+        def nodes(rows, n):
+            t, _ = gauss_legendre(n)
+            return np.array([[jp(m + tk) for tk in t.tolist()] for m in rows])
+
+        return jp, nodes, cutoff
     raise ValueError("source must be 'dde' or 'saddle'")
 
 
@@ -209,8 +269,8 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
         raise ValueError("i must be 0 or 1")
     if u is None:
         u = kappa - 1.0 / 9.0
-    jp, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, u, upper, [0.0] * i + [1.0], atol)
+    jp, nodes, upper = _jprime_factory(kappa, u, source, J)
+    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], atol)
     asym = None
     env = None
     if _is_canonical_u(kappa, u):
@@ -233,8 +293,8 @@ def moment_J2(kappa: int, u: float | None = None, i: int = 0,
         raise ValueError("i must be >= 0")
     if u is None:
         u = kappa - 1.0 / 9.0
-    jp, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, u, upper, [0.0] * i + [1.0], atol, log=True)
+    jp, nodes, upper = _jprime_factory(kappa, u, source, J)
+    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], atol, log=True)
     asym = None
     env = None
     # at kappa = 1 the envelope 5 log(kappa)/kappa is 0: no comparator
@@ -336,16 +396,16 @@ def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
         raise DomainError("P not defined up to u")
     if J is None:
         J = solve_j(kappa, max(u, 1.0))
-    jp = J.j_prime
+    jp, nodes = _dde_source(J, u)
     poly = np.polynomial.polynomial
     p2 = poly.polymul(P.coef, P.coef)
 
-    i1 = _integral(jp, u, u, p2, atol)
+    i1 = _integral(jp, nodes, u, u, p2, atol)
     inner = _inner_i2_coeffs(np.asarray(P.coef, dtype=float), l)
-    i2 = _integral(jp, u, u, inner, atol) if np.any(inner != 0.0) else 0.0
+    i2 = _integral(jp, nodes, u, u, inner, atol) if np.any(inner != 0.0) else 0.0
     # log(l/w) - 1 + w/l = (log l - 1 + w/l) - log w
-    smooth = _integral(jp, u, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]), atol)
-    singular = _integral(jp, u, u, p2, atol, log=True)
+    smooth = _integral(jp, nodes, u, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]), atol)
+    singular = _integral(jp, nodes, u, u, p2, atol, log=True)
     return MainIntegrals(i1, i2, smooth - singular)
 
 

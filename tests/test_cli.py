@@ -254,6 +254,8 @@ class TestContracts:
         (JFUN + ("--tol", "nan"), "tol = nan must be finite and > 0"),
         (JFUN + ("--tol", "-1"), "tol = -1 must be finite and > 0"),
         (JFUN + ("--tol", "0"), "tol = 0 must be finite and > 0"),
+        (JFUN + ("--degree", "257"), "degree = 257 must be between 4 and 256"),
+        (JFUN + ("--degree", "30000"), "degree = 30000 must be between 4 and 256"),
         (("moments", "--kappa", "10", "--atol", "nan"), "atol = nan must be finite and > 0"),
         (("bound", "--kappa", "10", "--atol", "-1"), "atol = -1 must be finite and > 0"),
         (("bound", "--kappa", "10", "--slack", "nan"), "slack = nan must be finite"),
@@ -261,8 +263,8 @@ class TestContracts:
     ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
             "b-inf", "b-nan", "y-nan", "z-inf", "zp-nan", "zp-inf", "xi-nan", "xi-inf",
             "x--5", "r--1", "r--1-density", "delta-U-1", "delta-U-near-1", "delta-nan",
-            "delta-inf", "eps-nan", "eps--1", "tol-nan", "tol--1", "tol-0", "atol-nan",
-            "atol--1", "slack-nan", "slack-inf"])
+            "delta-inf", "eps-nan", "eps--1", "tol-nan", "tol--1", "tol-0", "degree-257",
+            "degree-30000", "atol-nan", "atol--1", "slack-nan", "slack-inf"])
     def test_bad_value_exit_2(self, capsys, argv, message):
         # a later --z, --x, ... overrides the one in IDENTITY
         code, out, err = run_cli(capsys, *argv)
@@ -329,13 +331,13 @@ STDOUT_SHA256 = {
     "jfun-json": ("jfun --kappa 2 --w-max 2.0 --grid 8 --format json",
                   "616bd342c245e63b1d0ad374dffd3f3f6c6ab08cf47b0e8e61690978e6faaf63"),
     "moments-csv": ("moments --kappa 1,10",
-                    "bb19b7492166083681c5bb05ddd88b79cf3abd82199f749b780aeebebc814776"),
+                    "120ddd95b0fbc35c8fe1cbc0efe27a14f17da773ce54be4958f23c3e1c307554"),
     "moments-json": ("moments --kappa 1,10 --format json",
-                     "153d0de662792ae570b49e2df70756e95a01ca9fafb854b3bd83ebd1c8a9151a"),
+                     "a8f219aee667658aa808fed8a02a670f1826c9a2217fb5e159e0bd31e4339146"),
     "bound-csv": ("bound --kappa 10,130",
                   "873d6e8882aedb04b7d49dfb3e37e08a290f9d3924f5d7d82b750f69a7e5b0f5"),
     "bound-json": ("bound --kappa 10,130 --format json",
-                   "c40feb4d85e4980d01676bc5e3b42fc8af59aa8ac7395ccd3bce16bc49199b06"),
+                   "cafc96ad5deeeff538a8a282fdd02b2b0fae20779fddd4c1c166819ee1531879"),
     "search-csv": ("search --tuple 0,2 --x 1000",
                    "feb388350c05a1d5c33fd87a6fad382661e1ca549285c8cb7f4b9b2c89526ac3"),
     "search-json": ("search --tuple 0,2 --x 1000 --format json",

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from sievekit.bounds import r_bound_numeric
 from sievekit.delay_ode import (
     EULER_GAMMA,
     JFunction,
@@ -15,6 +14,7 @@ from sievekit.delay_ode import (
     _previous_values,
     c_kappa,
     eval_j,
+    gauss_legendre,
     saddle_j_prime,
     solve_j,
     tail_check,
@@ -197,24 +197,6 @@ class TestJPrimeMemo:
         ws = evaluation_grid(a)
         assert [b.j_prime(w) for w in ws] == [a.j_prime(w) for w in ws]
 
-    def test_one_evaluation_per_distinct_argument(self, monkeypatch):
-        seen, evaluated = [], []
-        j_prime, log_j_prime = JFunction.j_prime, JFunction.log_j_prime
-
-        def counting_j_prime(self, w):
-            seen.append(w)
-            return j_prime(self, w)
-
-        def counting_log_j_prime(self, w):
-            evaluated.append(w)
-            return log_j_prime(self, w)
-
-        monkeypatch.setattr(JFunction, "j_prime", counting_j_prime)
-        monkeypatch.setattr(JFunction, "log_j_prime", counting_log_j_prime)
-        r_bound_numeric(40)
-        assert len(evaluated) == len(set(seen))
-        assert len(seen) > 2 * len(evaluated)
-
 
 class TestCollocation:
     @pytest.mark.parametrize("n", [32, 64, 128, 256])
@@ -348,6 +330,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_j(3, 9.0)  # w_max > kappa + 2
 
+    @pytest.mark.parametrize("degree", [3, 257, 30000])
+    def test_degree_between_4_and_max(self, degree):
+        with pytest.raises(ValueError, match=f"degree = {degree} must be between 4 and 256"):
+            solve_j(3, 2.0, degree=degree)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_tol_must_be_finite_and_positive(self, tol):
         # no truncation estimate meets such a tol, so every interval would
@@ -395,6 +382,103 @@ class TestMixedDegrees:
         b = solve_j(40, u, degree=32)
         ws = np.linspace(0.5, u, 300)
         assert max(abs(a.q(float(w)) / b.q(float(w)) - 1.0) for w in ws) < 1e-10
+
+
+def assert_table_matches_scalar(J, n, rows=None):
+    """``J.j_prime_nodes(n)`` against scalar ``J.j_prime`` at the same v.
+
+    Both compute log j' = log c + log kappa + log q(v) + log1p(-q(v-1)/q(v))
+    - log v in doubles, so each rounds at the scale of the terms it adds:
+    |log c| and |log q| (about kappa log kappa), and the log1p term
+    amplifies the error of log q(v-1) - log q(v) by q(v-1)/(q(v) -
+    q(v-1)).  The tolerance is 1e-14 relative, widened to 8 eps times that
+    scale where it is larger; values below the normal range (subnormal
+    or zero) may differ by one subnormal step.  Points past w_max, where
+    the scalar evaluator refuses, are skipped."""
+    t, _ = gauss_legendre(n)
+    table = J.j_prime_nodes(n)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    checked = 0
+    for m in range(len(table)) if rows is None else rows:
+        for k, tk in enumerate(t.tolist()):
+            v = m + tk
+            if v > J.w_max:
+                continue
+            got, want = float(table[m, k]), J.j_prime(v)
+            checked += 1
+            if min(got, want) < tiny:
+                assert abs(got - want) <= tiny, (m, k)
+                continue
+            lq, lq_delayed = J.log_q(v), J.log_q(v - 1.0)
+            ratio = lq_delayed - lq
+            amplify = 0.0 if lq_delayed == -math.inf else -math.exp(ratio) / math.expm1(ratio)
+            scale = abs(J.log_c) + abs(lq) + amplify * (abs(lq) + abs(lq_delayed))
+            assert abs(got - want) <= max(1e-14, 8 * eps * scale) * want, (m, k, got, want)
+    return checked
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_gauss_legendre(self, n):
+        t, weights = gauss_legendre(n)
+        assert not t.flags.writeable and not weights.flags.writeable
+        assert np.all(np.diff(t) > 0) and 0.0 < t[0] and t[-1] < 1.0
+        # exact on polynomials of degree < 2n
+        for d in range(2 * n):
+            assert float(weights @ t ** d) == pytest.approx(1.0 / (d + 1), rel=2e-14), d
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 2e-16
+        assert np.max(np.abs(weights / (0.5 * w) - 1.0)) <= 5e-12
+
+    @pytest.mark.parametrize("kappa", [1, 2, 10, 120, 1500])
+    def test_matches_scalar_j_prime(self, jfun, kappa):
+        J = jfun(kappa, max(kappa - 1.0 / 9.0, 3.0))
+        for n in (32, 64):
+            # every row up to kappa = 120; at 1500 every 10th row and the top ones
+            rows = range(0, len(J._rev) + 1, 10 if kappa > 120 else 1)
+            assert assert_table_matches_scalar(J, n, rows) > 0
+            assert_table_matches_scalar(J, n, range(len(J._rev) - 2, len(J._rev) + 1))
+
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_closed_form_rows(self, jfun, kappa):
+        """Rows 0 and 1 against j' = kappa c v^(kappa-1) on (0, 1] and the
+        derivative of closed_form_k1/k2 on (1, 2]."""
+        J = jfun(kappa, 3.0)
+        c = c_kappa(kappa).value
+        t, _ = gauss_legendre(64)
+        table = J.j_prime_nodes(64)
+        row0 = kappa * c * t ** (kappa - 1)
+        v = 1.0 + t
+        row1 = c * (1.0 - np.log(v)) if kappa == 1 else c * (6.0 * v - 4.0 * v * np.log(v) - 4.0)
+        assert np.max(np.abs(table[0] / row0 - 1.0)) <= 1e-14
+        # row 1 is the degree-32 solve, converged far below its tol of 1e-10
+        assert np.max(np.abs(table[1] / row1 - 1.0)) <= 1e-13
+
+    def test_underflow_rows(self, jfun):
+        J = jfun(1500)
+        table = J.j_prime_nodes(64)
+        zero_rows = np.flatnonzero(~table.any(axis=1))
+        # j' ~ c v^(kappa-1) is far below the double range on the low rows
+        assert zero_rows[0] == 0 and len(zero_rows) > 100
+        assert np.all(zero_rows == np.arange(len(zero_rows)))
+        assert_table_matches_scalar(J, 64, [0, len(zero_rows) - 1, len(zero_rows)])
+        assert table[len(zero_rows)].any()
+
+    @pytest.mark.parametrize("kappa,w_max,degree", [
+        (1, 3.0, 14), (2, 4.0, 16), (10, 10 - 1.0 / 9.0, 16), (40, 40 - 1.0 / 9.0, 8)])
+    def test_mixed_degrees(self, kappa, w_max, degree):
+        J = solve_j(kappa, w_max, degree=degree)
+        assert len(set(collocation_degrees(J))) == 2
+        for n in (32, 64):
+            assert_table_matches_scalar(J, n)
+
+    def test_cached_and_read_only(self, jfun):
+        J = jfun(10)
+        table = J.j_prime_nodes(64)
+        assert J.j_prime_nodes(64) is table
+        assert table.shape == (len(J._rev) + 1, 64)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 class TestEval:

@@ -1,13 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy import integrate
 
-from sievekit.delay_ode import EULER_GAMMA, solve_j
-from sievekit.errors import DomainError, PoleError
+from sievekit.bounds import r_bound_numeric
+from sievekit.delay_ode import EULER_GAMMA, SaddleParams, gauss_legendre, saddle_j_prime, solve_j
+from sievekit.errors import DomainError, PoleError, QuadratureFailure
 from sievekit.moments import (
     SievePolynomial,
+    _integral,
     digamma,
     log_gamma,
     main_integrals,
@@ -282,3 +287,101 @@ class TestMpmathReference:
         assert mi.i1 == pytest.approx(reference["I1"], abs=1e-14)
         assert mi.i2 == pytest.approx(reference["I2"], abs=1e-14)
         assert mi.i3 == pytest.approx(reference["I3"], abs=1e-14)
+
+
+class TestKappa3Reference:
+    """kappa = 3, u = 3 - 1/9, l = 6, P = 1 + w/4.  v in (0, 1] and (1, 2]
+    are whole node-table pieces, the second one solved by the Chebyshev
+    solver; v in (2, u] is the piece that goes to QUADPACK.  The 30-digit
+    values come from tests/data/kappa3_reference.py, which needs no
+    sievekit; the tolerance, 2e-15, is about ten units in the last place
+    of values below 1."""
+
+    U, L, PCOEF = 3 - 1.0 / 9.0, 6.0, (1.0, 0.25)
+    REF = json.loads((Path(__file__).parent / "data" / "kappa3_reference.json").read_text())
+
+    def test_fixture_matches_parameters(self):
+        assert (self.REF["kappa"], self.REF["l"], self.REF["P"]) == (3, self.L, list(self.PCOEF))
+        assert self.REF["u"] == "26/9" and self.REF["dps"] >= 25
+
+    def test_moments_and_main_integrals(self):
+        J = solve_j(3, self.U)
+        mi = main_integrals(3, self.U, self.L, SievePolynomial(self.PCOEF, self.U), J=J)
+        got = {"J1(0)": moment_J1(3, self.U, 0, J=J).value,
+               "J1(1)": moment_J1(3, self.U, 1, J=J).value,
+               "J2(0)": moment_J2(3, self.U, 0, J=J).value,
+               "I1": mi.i1, "I2": mi.i2, "I3": mi.i3}
+        for key, value in got.items():
+            assert value == pytest.approx(float(self.REF["values"][key]), abs=2e-15), key
+
+
+def frac_power_source(power):
+    """j'(v) = (v - floor v)^power at one point and on the node table."""
+    def jp(v):
+        return abs(v - math.floor(v)) ** power
+
+    def nodes(rows, n):
+        t, _ = gauss_legendre(n)
+        return np.tile(np.abs(t) ** power, (len(rows), 1))
+
+    return jp, nodes
+
+
+class TestNodeQuadrature:
+    def test_pieces_cover_the_range_once(self):
+        # u = 3.5: v in [0,1], [1,2], [2,3] on the nodes, [3, 3.5] on QUADPACK
+        jp, nodes = frac_power_source(2)
+        assert _integral(jp, nodes, 3.5, 3.5, [1.0], 1e-10) == pytest.approx(
+            1.0 + 0.5 ** 3 / 3.0, abs=1e-14)
+
+    def test_doubling_check_raises(self):
+        # a kink inside every unit interval: Gauss-Legendre converges only
+        # algebraically there, and 32 nodes miss the 64-node value
+        def jp(v):
+            return abs(v - math.floor(v) - 1.0 / 3.0)
+
+        def nodes(rows, n):
+            t, _ = gauss_legendre(n)
+            return np.tile(np.abs(t - 1.0 / 3.0), (len(rows), 1))
+
+        with pytest.raises(QuadratureFailure, match="64 and 32 nodes differ by"):
+            _integral(jp, nodes, 3.5, 3.5, [1.0], 1e-8)
+
+    def test_one_quad_call_per_integral(self, jfun, monkeypatch):
+        calls = []
+        quad = integrate.quad
+
+        def counting(f, a, b, **kw):
+            calls.append((a, b))
+            return quad(f, a, b, **kw)
+
+        monkeypatch.setattr(integrate, "quad", counting)
+        u = 40 - 1.0 / 9.0
+        r_bound_numeric(40, J=jfun(40))  # I1, and I3 as a smooth and a log part
+        assert calls == [(0.0, u - 39)] * 3
+        calls.clear()
+        # a second knot piece that starts below w = 1/2 stays on QUADPACK too
+        moment_J1(10, u=9.3, J=jfun(10, 9.3))
+        assert len(calls) == 2 and calls[1][0] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("kappa", [2, 10, 40, 400, 1500])
+    def test_j1_equals_j_at_u(self, jfun, kappa):
+        # the log-domain evaluation of j and j' rounds at about
+        # kappa log kappa units in the last place
+        J = jfun(kappa)
+        value = moment_J1(kappa, J=J).value
+        assert abs(value - J.j(kappa - 1.0 / 9.0)) <= 1e-14 + 4e-16 * kappa * math.log(kappa)
+
+    def test_saddle_matches_direct_quadpack(self):
+        k = 40
+        u = k - 1.0 / 9.0
+        sp = SaddleParams(k, d=k - 1.0 / 3.0 - u)
+        cutoff = k ** 0.6
+        for i, log in ((0, False), (1, False), (0, True)):
+            def f(w):
+                return w ** i * saddle_j_prime(sp, w)[0]
+            weight = {"weight": "alg-loga", "wvar": (0, 0)} if log else {}
+            direct, _ = integrate.quad(f, 0.0, cutoff, epsabs=1e-14, epsrel=1e-12, limit=200,
+                                       **weight)
+            moment = moment_J2 if log else moment_J1
+            assert moment(k, i=i, source="saddle").value == pytest.approx(direct, abs=1e-13)
