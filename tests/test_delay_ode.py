@@ -394,27 +394,28 @@ def assert_table_matches_scalar(J, n, rows=None):
     q(v-1)).  The tolerance is 1e-14 relative, widened to 8 eps times that
     scale where it is larger; values below the normal range (subnormal
     or zero) may differ by one subnormal step.  Points past w_max, where
-    the scalar evaluator refuses, are skipped."""
+    the scalar evaluator refuses, are skipped.  Returns the largest
+    relative difference among normal values."""
     t, _ = gauss_legendre(n)
     table = J.j_prime_nodes(n)
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    checked = 0
+    worst = 0.0
     for m in range(len(table)) if rows is None else rows:
         for k, tk in enumerate(t.tolist()):
             v = m + tk
             if v > J.w_max:
                 continue
             got, want = float(table[m, k]), J.j_prime(v)
-            checked += 1
             if min(got, want) < tiny:
                 assert abs(got - want) <= tiny, (m, k)
                 continue
+            worst = max(worst, abs(got - want) / want)
             lq, lq_delayed = J.log_q(v), J.log_q(v - 1.0)
             ratio = lq_delayed - lq
             amplify = 0.0 if lq_delayed == -math.inf else -math.exp(ratio) / math.expm1(ratio)
             scale = abs(J.log_c) + abs(lq) + amplify * (abs(lq) + abs(lq_delayed))
             assert abs(got - want) <= max(1e-14, 8 * eps * scale) * want, (m, k, got, want)
-    return checked
+    return worst
 
 
 class TestNodeTable:
@@ -436,8 +437,10 @@ class TestNodeTable:
         for n in (32, 64):
             # every row up to kappa = 120; at 1500 every 10th row and the top ones
             rows = range(0, len(J._rev) + 1, 10 if kappa > 120 else 1)
-            assert assert_table_matches_scalar(J, n, rows) > 0
+            worst = assert_table_matches_scalar(J, n, rows)
             assert_table_matches_scalar(J, n, range(len(J._rev) - 2, len(J._rev) + 1))
+            if kappa <= 2:  # the terms of log j' are small: plain 1e-14 holds
+                assert worst <= 1e-14
 
     @pytest.mark.parametrize("kappa", [1, 2])
     def test_closed_form_rows(self, jfun, kappa):
