@@ -124,8 +124,8 @@ class NumericBound:
 
 
 def r_bound_numeric(kappa: int, l: float | None = None, u: float | None = None,
-                    P: SievePolynomial | None = None, J: JFunction | None = None,
-                    atol: float = 1e-8) -> NumericBound:
+                    P: SievePolynomial | None = None,
+                    J: JFunction | None = None) -> NumericBound:
     """Smallest integer r with positive margin b(r)*I1 - kappa*(I2+I3),
     margin strictly increasing in r since I1 > 0."""
     if kappa < 2:
@@ -138,7 +138,7 @@ def r_bound_numeric(kappa: int, l: float | None = None, u: float | None = None,
         P = SievePolynomial.one(u)
     if J is None:
         J = solve_j(kappa, max(u, 1.0))
-    ints = main_integrals(kappa, u, l, P, J=J, atol=atol)
+    ints = main_integrals(kappa, u, l, P, J=J)
     b_needed = kappa * (ints.i2 + ints.i3) / ints.i1
     # b(r) = r + 1 - kappa(1 + 2u/l) > b_needed
     r_min = math.floor(b_needed - 1.0 + kappa * (1.0 + 2.0 * u / l)) + 1
@@ -157,8 +157,7 @@ class BoundRow:
     note: str = ""
 
 
-def table(kappas, numeric: bool = True, slack: float = 0.0,
-          atol: float = 1e-8) -> list[BoundRow]:
+def table(kappas, numeric: bool = True, slack: float = 0.0) -> list[BoundRow]:
     """One BoundRow per kappa, ordered by kappa.  The numeric column is
     omitted (with a reason) above delay_ode.MAX_KAPPA, where the solver
     refuses."""
@@ -170,7 +169,7 @@ def table(kappas, numeric: bool = True, slack: float = 0.0,
         margin = None
         note = ""
         if numeric and kappa <= MAX_KAPPA:
-            nb = r_bound_numeric(kappa, atol=atol)
+            nb = r_bound_numeric(kappa)
             r_num = nb.r
             margin = nb.margin(nb.r)
         elif numeric:

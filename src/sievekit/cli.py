@@ -35,6 +35,8 @@ from .errors import (
 
 _BUDGET_ERRORS = (BudgetExceeded, ToleranceNotMet, QuadratureFailure,
                   LimitTooLarge, RangeOverflow, Int64Overflow)
+# rows of the jfun grid are built in memory before they are written
+JFUN_GRID_CAP = 100_000
 
 
 def _write_output(text: str, path: str | None):
@@ -76,8 +78,9 @@ def _write_table(args, header, rows, payload):
 def cmd_jfun(args) -> int:
     if args.grid < 1:
         raise ValueError("--grid must be >= 1")
-    J = solve_j(args.kappa, args.w_max, tol=args.tol, degree=args.degree,
-                cache_dir=args.cache)
+    if args.grid > JFUN_GRID_CAP:
+        raise BudgetExceeded(f"--grid = {args.grid} above cap {JFUN_GRID_CAP}")
+    J = solve_j(args.kappa, args.w_max, tol=args.tol, degree=args.degree)
     header = ("w", "log_q", "j", "j_prime")
     rows = [(w, J.log_q(w), J.j(w), J.j_prime(w))
             for w in (args.w_max * i / args.grid for i in range(args.grid + 1))]
@@ -90,7 +93,7 @@ def cmd_jfun(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    rows = moments_mod.moment_table(_parse_range(args.kappa), atol=args.atol)
+    rows = moments_mod.moment_table(_parse_range(args.kappa))
     _write_table(args, ("kappa", "quantity", "numeric", "asymptotic", "diff", "envelope"),
                  [(r.kappa, r.quantity, r.value, r.asymptotic, r.diff, r.envelope)
                   for r in rows], [asdict(r) for r in rows])
@@ -99,7 +102,7 @@ def cmd_moments(args) -> int:
 
 def cmd_bound(args) -> int:
     rows = bounds_mod.table(_parse_range(args.kappa), numeric=not args.no_numeric,
-                            slack=args.slack, atol=args.atol)
+                            slack=args.slack)
     _write_table(args, [f.name for f in fields(bounds_mod.BoundRow)],
                  [astuple(r) for r in rows], [asdict(r) for r in rows])
     return 0
@@ -156,14 +159,22 @@ def _num(v):
     return str(v) if not isinstance(v, (int, float)) else v
 
 
-def _parse_range(spec: str):
-    """"100" or "10:101:10" or "10,20,40"."""
-    if ":" in spec:
-        parts = [int(p) for p in spec.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop, step))
-    return [int(p) for p in spec.split(",")]
+def _parse_range(spec: str) -> list[int]:
+    """"100" or "10:101:10" or "10,20,40"; a range must hold a value."""
+    try:
+        if ":" in spec:
+            parts = [int(p) for p in spec.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError
+            values = list(range(*parts))  # ValueError for step 0
+        else:
+            values = [int(p) for p in spec.split(",")]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"--kappa {spec!r} is not an integer, a list a,b,c "
+                         "or a nonempty range lo:hi[:step]")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,13 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--degree", type=int, default=32)
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--cache", default=None, help="JSON cache directory")
     common(p)
     p.set_defaults(func=cmd_jfun)
 
     p = sub.add_parser("moments", help="moment integral / ratio tables")
     p.add_argument("--kappa", default="10,20,40", help="value, list or lo:hi:step")
-    p.add_argument("--atol", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=cmd_moments)
 
@@ -201,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=0.0,
                    help="explicit-bound slack coefficient of log(kappa)")
     p.add_argument("--no-numeric", action="store_true")
-    p.add_argument("--atol", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=cmd_bound)
 

@@ -46,10 +46,7 @@ computed through logs, and every evaluator has a log-scaled variant.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +126,7 @@ class JFunction:
         self.tol = tol
         self.degree = degree
         self.log_c = log_c
-        self._rev = [tuple(reversed(np.asarray(c, dtype=float).tolist())) for c in coeffs]
+        self._rev = [tuple(c[::-1].tolist()) for c in coeffs]
         self._node_tables = {}
 
     # -- scaled representation ------------------------------------------
@@ -285,29 +282,6 @@ class JFunction:
         residual_scaled = w * gp + self.kappa * delay_scaled
         return residual_scaled / (self.kappa * g)
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "w_max": self.w_max,
-            "tol": self.tol,
-            "degree": self.degree,
-            "log_c": self.log_c,
-            "coeffs": [list(reversed(rev)) for rev in self._rev],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JFunction":
-        return cls(
-            int(data["kappa"]),
-            float(data["w_max"]),
-            float(data["tol"]),
-            int(data["degree"]),
-            float(data["log_c"]),
-            data["coeffs"],
-        )
-
 
 @functools.lru_cache(maxsize=4)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,16 +353,12 @@ def _solve_interval(kappa, m, coeffs, g_left, n):
     return gc, kappa * tail
 
 
-def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
-            cache_dir: str | None = None) -> JFunction:
+def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> JFunction:
     """Solve the delay ODE for j_kappa on [0, w_max] by method of steps.
 
     Each unit interval is solved by Chebyshev collocation of the scaled
     update; the degree escalates (up to 256) until the truncation
     estimate drops below tol relative to g, else ToleranceNotMet.
-    ``cache_dir`` enables a JSON cache keyed by (kappa, w_max, tol,
-    degree); a cached solution is used only when it was solved for
-    exactly this request.
     """
     kappa = int(kappa)
     if kappa < 1:
@@ -402,18 +372,6 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
     w_max, tol = float(w_max), float(tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol = {tol:g} must be finite and > 0")
-
-    cache_path = None
-    if cache_dir is not None:
-        key = f"jfun_k{kappa}_w{w_max!r}_t{tol!r}_d{degree}.json"
-        cache_path = os.path.join(cache_dir, key)
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                data = json.load(fh)
-            # The stored degree is the highest one the solve escalated to.
-            if (data["kappa"], data["w_max"], data["tol"]) == (kappa, w_max, tol) \
-                    and data["degree"] >= degree:
-                return JFunction.from_json(data)
 
     n_intervals = max(int(math.ceil(w_max)) - 1, 0)
     coeffs: list[np.ndarray] = []
@@ -434,18 +392,7 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32,
         coeffs.append(gc)
         g_left = g_right
 
-    jf = JFunction(kappa, w_max, tol, max_deg, c_kappa(kappa).log, coeffs)
-    if cache_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(jf.to_json(), fh)
-            os.replace(tmp, cache_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return jf
+    return JFunction(kappa, w_max, tol, max_deg, c_kappa(kappa).log, coeffs)
 
 
 def eval_j(J: JFunction, w: float, order: int = 0, scale: str = "linear"):

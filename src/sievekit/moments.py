@@ -23,6 +23,8 @@ on the solution, and checks each piece against half as many nodes.  The
 piece at w = 0, which holds the log singularity, a whole piece that
 starts below w = 1/2, near it, and a piece cut short by the upper limit
 go to QUADPACK (QAWS with log w as its weight on the first piece).
+Accuracy is fixed by the module constants _ATOL and _EPSREL: each piece
+must meet max(its share of _ATOL, _EPSREL * |value|).
 The O-term constants are not specified by the source asymptotics; the
 envelopes reported here carry constants calibrated once in the test
 fixtures.
@@ -125,6 +127,8 @@ class SievePolynomial:
 
 
 _EPSREL = 1e-11
+# absolute tolerance of one integral, shared equally among its pieces
+_ATOL = 1e-8
 _LIMIT = 200
 # Gauss-Legendre nodes per whole unit piece; GL_NODES // 2 check the result
 GL_NODES = 64
@@ -150,7 +154,7 @@ def _node_sums(nodes, rows, u, coef, log, n):
     return f @ weights
 
 
-def _integral(jp, nodes, u, upper, coef, atol, log=False):
+def _integral(jp, nodes, u, upper, coef, *, log=False):
     """int_0^upper c(w) (log w if ``log``) j'(u - w) dw, with c given by its
     ascending monomial coefficients ``coef``.  ``jp(v)`` is j' at one
     point, and ``nodes(rows, n)`` is j' at the n Gauss-Legendre nodes of
@@ -160,16 +164,15 @@ def _integral(jp, nodes, u, upper, coef, atol, log=False):
     whole piece w in [u-m-1, u-m] that starts at w >= 1/2, clear of the
     log singularity, is the interval v in [m, m+1] and takes GL_NODES
     nodes; it fails with QuadratureFailure unless half as many nodes agree
-    within QUADPACK's own rule, max(its share of atol, _EPSREL * |value|).
-    The other pieces go to QUADPACK: with ``log`` the first piece takes
+    within QUADPACK's own rule, max(its share of _ATOL, _EPSREL * |value|).
+    The other pieces go to QUADPACK with the same tolerances, so _ATOL and
+    _EPSREL alone fix the accuracy: with ``log`` the first piece takes
     log(w) as the weight of its endpoint-singularity rule (QAWS), so the
     integrand it samples stays smooth at w = 0; the others multiply by
     log(w)."""
-    if not 0.0 < atol < math.inf:
-        raise ValueError(f"atol = {atol:g} must be finite and > 0")
     knots = range(math.ceil(u))
     pts = [0.0] + sorted(u - m for m in knots if u - m < upper) + [upper]
-    per = atol / (len(pts) - 1)
+    per = _ATOL / (len(pts) - 1)
     rows = [m for m in knots if u - m <= upper and u - (m + 1) >= 0.5]
     pieces = list(zip(pts, pts[1:]))
     parts = []
@@ -261,8 +264,7 @@ def _is_canonical_u(kappa, u):
 
 
 def moment_J1(kappa: int, u: float | None = None, i: int = 0,
-              source: str = "dde", J: JFunction | None = None,
-              atol: float = 1e-8) -> MomentReport:
+              source: str = "dde", J: JFunction | None = None) -> MomentReport:
     """J1(i) = int_0^u w^i j'(u-w) dw, with Lemma-style comparator at the
     canonical u = kappa - 1/9 (i in {0, 1})."""
     if i not in (0, 1):
@@ -270,7 +272,7 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
     if u is None:
         u = kappa - 1.0 / 9.0
     jp, nodes, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], atol)
+    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0])
     asym = None
     env = None
     if _is_canonical_u(kappa, u):
@@ -285,8 +287,7 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
 
 
 def moment_J2(kappa: int, u: float | None = None, i: int = 0,
-              source: str = "dde", J: JFunction | None = None,
-              atol: float = 1e-8) -> MomentReport:
+              source: str = "dde", J: JFunction | None = None) -> MomentReport:
     """J2(i) = int_0^u w^i log(w) j'(u-w) dw; the integrable log
     singularity at w = 0 goes to a log-weighted quadrature rule."""
     if i < 0:
@@ -294,7 +295,7 @@ def moment_J2(kappa: int, u: float | None = None, i: int = 0,
     if u is None:
         u = kappa - 1.0 / 9.0
     jp, nodes, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], atol, log=True)
+    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], log=True)
     asym = None
     env = None
     # at kappa = 1 the envelope 5 log(kappa)/kappa is 0: no comparator
@@ -318,16 +319,16 @@ class RatioReport:
     r2_asymptotic: float
 
 
-def ratios(kappa: int, J: JFunction | None = None, atol: float = 1e-9) -> RatioReport:
+def ratios(kappa: int, J: JFunction | None = None) -> RatioReport:
     """Moment ratios with their closed asymptotic forms (d = -2/9)."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
     u = kappa - 1.0 / 9.0
     if J is None:
         J = solve_j(kappa, u)
-    j10 = moment_J1(kappa, u, 0, J=J, atol=atol).value
-    j11 = moment_J1(kappa, u, 1, J=J, atol=atol).value
-    j20 = moment_J2(kappa, u, 0, J=J, atol=atol).value
+    j10 = moment_J1(kappa, u, 0, J=J).value
+    j11 = moment_J1(kappa, u, 1, J=J).value
+    j20 = moment_J2(kappa, u, 0, J=J).value
     return RatioReport(
         kappa=kappa,
         r1=j11 / j10,
@@ -381,7 +382,7 @@ def _inner_i2_coeffs(pcoef: np.ndarray, l: float) -> np.ndarray:
 
 
 def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
-                   J: JFunction | None = None, atol: float = 1e-8) -> MainIntegrals:
+                   J: JFunction | None = None) -> MainIntegrals:
     """The three main-term integrals
 
         I1 = int_0^u P(w)^2 j'(u-w) dw
@@ -400,12 +401,12 @@ def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
     poly = np.polynomial.polynomial
     p2 = poly.polymul(P.coef, P.coef)
 
-    i1 = _integral(jp, nodes, u, u, p2, atol)
+    i1 = _integral(jp, nodes, u, u, p2)
     inner = _inner_i2_coeffs(np.asarray(P.coef, dtype=float), l)
-    i2 = _integral(jp, nodes, u, u, inner, atol) if np.any(inner != 0.0) else 0.0
+    i2 = _integral(jp, nodes, u, u, inner) if np.any(inner != 0.0) else 0.0
     # log(l/w) - 1 + w/l = (log l - 1 + w/l) - log w
-    smooth = _integral(jp, nodes, u, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]), atol)
-    singular = _integral(jp, nodes, u, u, p2, atol, log=True)
+    smooth = _integral(jp, nodes, u, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]))
+    singular = _integral(jp, nodes, u, u, p2, log=True)
     return MainIntegrals(i1, i2, smooth - singular)
 
 
@@ -413,13 +414,13 @@ def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
 # reporting
 
 
-def moment_table(kappas, atol: float = 1e-8) -> list[MomentReport]:
+def moment_table(kappas) -> list[MomentReport]:
     """J1(0), J1(1), J2(0) reports at u = kappa - 1/9 for each kappa."""
     rows = []
     for k in kappas:
         J = solve_j(k, max(k - 1.0 / 9.0, 1.0))
-        rows.append(moment_J1(k, i=0, J=J, atol=atol))
-        rows.append(moment_J1(k, i=1, J=J, atol=atol))
-        rows.append(moment_J2(k, i=0, J=J, atol=atol))
+        rows.append(moment_J1(k, i=0, J=J))
+        rows.append(moment_J1(k, i=1, J=J))
+        rows.append(moment_J2(k, i=0, J=J))
     return rows
 

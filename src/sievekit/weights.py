@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -181,19 +180,6 @@ class LambdaSystem:
         if l1 == 0:
             raise DivisionByZero("lambda_1 = 0")
         return {nu: v / l1 for nu, v in self.lam.items()}
-
-    def to_json(self) -> dict:
-        def enc(v):
-            return str(v) if isinstance(v, Fraction) else v
-        return {
-            "forms": [list(f) for f in self.L.forms],
-            "xi": self.xi,
-            "z_prime": self.z_prime,
-            "exact": self.exact,
-            "support": list(self.support),
-            "zeta": {str(m): enc(v) for m, v in self.zeta.items()},
-            "lambda": {str(m): enc(v) for m, v in self.lam.items()},
-        }
 
 
 def _lattice(L: LinearSystem, sf) -> SupportLattice:
@@ -573,11 +559,3 @@ def error_bound_analytic(L: LinearSystem, z: float, xi: float) -> float:
     """Crude analytic envelope z * xi^2 / V(z)^7 for the remainder term."""
     v = V_product(L, z)
     return z * xi * xi / v ** 7
-
-
-def lambda_system_to_json(S: LambdaSystem, path: str | None = None) -> str:
-    text = json.dumps(S.to_json(), indent=1, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sievekit
-from sievekit import search
+from sievekit import cli, search
 from sievekit.cli import main
 from sievekit.delay_ode import EULER_GAMMA
 
@@ -199,10 +199,16 @@ class TestParamsAndJfun:
         assert out == ""
         assert err == "error: --grid must be >= 1\n"
 
-    def test_jfun_cache(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "jfun", "--kappa", "3", "--cache", str(tmp_path))
-        assert code == 0
-        assert len(list(tmp_path.iterdir())) == 1
+    def test_jfun_grid_above_cap_exit_3(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid check")
+
+        monkeypatch.setattr(cli, "solve_j", no_solve)
+        grid = cli.JFUN_GRID_CAP + 1
+        code, out, err = run_cli(capsys, "jfun", "--kappa", "2", "--grid", str(grid))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: --grid = {grid} above cap {cli.JFUN_GRID_CAP}\n"
 
 
 class TestContracts:
@@ -222,6 +228,7 @@ class TestContracts:
     PARAMS = ("params", "--kappa", "10", "--r", "50")
     SEARCH = ("search", "--tuple", "0,2", "--x", "10")
     JFUN = ("jfun", "--kappa", "3")
+    KAPPA_SPEC = "--kappa %s is not an integer, a list a,b,c or a nonempty range lo:hi[:step]"
 
     @pytest.mark.parametrize("argv,message", [
         (PARAMS + ("--alpha", "0"), "alpha = 0 must be finite and > 1"),
@@ -256,15 +263,19 @@ class TestContracts:
         (JFUN + ("--tol", "0"), "tol = 0 must be finite and > 0"),
         (JFUN + ("--degree", "257"), "degree = 257 must be between 4 and 256"),
         (JFUN + ("--degree", "30000"), "degree = 30000 must be between 4 and 256"),
-        (("moments", "--kappa", "10", "--atol", "nan"), "atol = nan must be finite and > 0"),
-        (("bound", "--kappa", "10", "--atol", "-1"), "atol = -1 must be finite and > 0"),
+        (("bound", "--kappa", "20:10"), KAPPA_SPEC % "'20:10'"),
+        (("bound", "--kappa", "10:20:-1"), KAPPA_SPEC % "'10:20:-1'"),
+        (("bound", "--kappa", "10:20:0"), KAPPA_SPEC % "'10:20:0'"),
+        (("moments", "--kappa", "1:3:1:9"), KAPPA_SPEC % "'1:3:1:9'"),
+        (("moments", "--kappa", "5,nan"), KAPPA_SPEC % "'5,nan'"),
         (("bound", "--kappa", "10", "--slack", "nan"), "slack = nan must be finite"),
         (("bound", "--kappa", "10", "--slack", "inf"), "slack = inf must be finite"),
     ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
             "b-inf", "b-nan", "y-nan", "z-inf", "zp-nan", "zp-inf", "xi-nan", "xi-inf",
             "x--5", "r--1", "r--1-density", "delta-U-1", "delta-U-near-1", "delta-nan",
             "delta-inf", "eps-nan", "eps--1", "tol-nan", "tol--1", "tol-0", "degree-257",
-            "degree-30000", "atol-nan", "atol--1", "slack-nan", "slack-inf"])
+            "degree-30000", "kappa-empty", "kappa-step-negative", "kappa-step-0",
+            "kappa-four-parts", "kappa-nan", "slack-nan", "slack-inf"])
     def test_bad_value_exit_2(self, capsys, argv, message):
         # a later --z, --x, ... overrides the one in IDENTITY
         code, out, err = run_cli(capsys, *argv)
@@ -306,6 +317,15 @@ class TestContracts:
 
     def test_bad_args_exit_2(self, capsys):
         assert run_cli(capsys, "bound", "--kappa", "abc")[0] == 2
+
+    @pytest.mark.parametrize("argv", [("moments", "--atol", "1e-8"),
+                                      ("bound", "--atol", "1e-8"),
+                                      ("jfun", "--kappa", "3", "--cache", "d")])
+    def test_removed_options_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_help_smoke(self, capsys):
         code, *_ = run_cli(capsys, "--help")
@@ -385,6 +405,18 @@ def test_solver_outputs_frozen(capsys, name):
                 assert row[key] == value, (row["kappa"], key)
 
 
+def writes_json(path):
+    """Whether the module calls json.dump or json.dumps, or imports either."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {a.name for a in node.names} & {"dump", "dumps"}:
+                return True
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            return True
+    return False
+
+
 def test_only_the_cli_formats_output():
     src = Path(sievekit.__file__).parent
     for path in sorted(src.glob("*.py")):
@@ -396,5 +428,9 @@ def test_only_the_cli_formats_output():
                 imported.add(node.module)
         if path.name != "cli.py":
             assert not imported & {"csv", "io"}, path.name
-        if path.name in ("bounds.py", "moments.py", "search.py"):
+        if path.name in ("bounds.py", "delay_ode.py", "moments.py", "search.py",
+                         "weights.py"):
             assert "json" not in imported, path.name
+        if path.name != "cli.py":
+            # arithmetic.py reads JSON tuple specs but writes none
+            assert not writes_json(path), path.name

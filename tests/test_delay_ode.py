@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ from numpy.polynomial import chebyshev as C
 
 from sievekit.delay_ode import (
     EULER_GAMMA,
-    JFunction,
     SaddleParams,
     _clenshaw,
     _collocation,
@@ -181,21 +179,6 @@ class TestJPrimeMemo:
         first = [J.j_prime(w) for w in ws]
         assert first == [math.exp(J.log_j_prime(w)) for w in ws]
         assert [J.j_prime(w) for w in ws] == first
-
-    def test_json_roundtrip_rebuilds_tuples(self, jfun):
-        J = jfun(40)
-        K = JFunction.from_json(json.loads(json.dumps(J.to_json())))
-        assert K._rev == J._rev
-        assert all(isinstance(a, float) for rev in K._rev for a in rev)
-        ws = evaluation_grid(J)
-        assert [K.j_prime(w) for w in ws] == [J.j_prime(w) for w in ws]
-
-    def test_cache_dir_path(self, tmp_path):
-        a = solve_j(12, 11.5, cache_dir=str(tmp_path))
-        b = solve_j(12, 11.5, cache_dir=str(tmp_path))
-        assert b._rev == a._rev
-        ws = evaluation_grid(a)
-        assert [b.j_prime(w) for w in ws] == [a.j_prime(w) for w in ws]
 
 
 class TestCollocation:
@@ -584,30 +567,3 @@ class TestTail:
             J = jfun(k, u) if k != 60 else solve_j(60, u)
             w = k ** 0.6 * 1.001
             assert J.j(u - w) < math.exp(-w * w / k)
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        a = solve_j(5, 4.5, cache_dir=str(tmp_path))
-        b = solve_j(5, 4.5, cache_dir=str(tmp_path))
-        for w in (0.5, 1.5, 3.3, 4.4):
-            assert a.q(w) == b.q(w)
-        assert len(list(tmp_path.iterdir())) == 1
-
-    def test_nearby_w_max_not_confused(self, tmp_path):
-        # both w_max used to format to the same key at 6 significant digits
-        solve_j(5, 4.888881, cache_dir=str(tmp_path))
-        J = solve_j(5, 4.888884, cache_dir=str(tmp_path))
-        assert J.w_max == 4.888884
-        assert J.j(4.888883) == solve_j(5, 4.888884).j(4.888883)
-        assert len(list(tmp_path.iterdir())) == 2
-
-    def test_mismatched_entry_resolved(self, tmp_path):
-        a = solve_j(5, 4.5, cache_dir=str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        data = json.loads(path.read_text())
-        data["w_max"] = 4.0
-        path.write_text(json.dumps(data))
-        b = solve_j(5, 4.5, cache_dir=str(tmp_path))
-        assert b.w_max == 4.5 and b.q(4.4) == a.q(4.4)
-        assert json.loads(path.read_text())["w_max"] == 4.5

@@ -159,11 +159,6 @@ class TestMomentJ2:
             rep = moment_J2(k, J=jfun(k))
             assert abs(rep.diff) <= 5.0 * math.log(k) / k
 
-    def test_quadrature_self_consistency(self, jfun):
-        a = moment_J2(12, J=jfun(12), atol=1e-8).value
-        b = moment_J2(12, J=jfun(12), atol=5e-9).value
-        assert abs(a - b) <= 1e-7
-
 
 class TestRatios:
     def test_asymptotic_forms_k100(self):
@@ -331,7 +326,7 @@ class TestNodeQuadrature:
     def test_pieces_cover_the_range_once(self):
         # u = 3.5: v in [0,1], [1,2], [2,3] on the nodes, [3, 3.5] on QUADPACK
         jp, nodes = frac_power_source(2)
-        assert _integral(jp, nodes, 3.5, 3.5, [1.0], 1e-10) == pytest.approx(
+        assert _integral(jp, nodes, 3.5, 3.5, [1.0]) == pytest.approx(
             1.0 + 0.5 ** 3 / 3.0, abs=1e-14)
 
     def test_doubling_check_raises(self):
@@ -345,7 +340,7 @@ class TestNodeQuadrature:
             return np.tile(np.abs(t - 1.0 / 3.0), (len(rows), 1))
 
         with pytest.raises(QuadratureFailure, match="64 and 32 nodes differ by"):
-            _integral(jp, nodes, 3.5, 3.5, [1.0], 1e-8)
+            _integral(jp, nodes, 3.5, 3.5, [1.0])
 
     def test_one_quad_call_per_integral(self, jfun, monkeypatch):
         calls = []

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import re
 from fractions import Fraction
@@ -29,7 +28,6 @@ from sievekit.weights import (
     error_bound_analytic,
     g_sum_report,
     lambda_from_zeta,
-    lambda_system_to_json,
     richert_a,
     s_main,
     support_elements,
@@ -158,13 +156,6 @@ class TestZetaLambda:
         for zp in (20, 50, 100, 200):
             S = build_lambda_system(tuple_n, zp * zp, zp, exact=False)
             assert S.lam[1] * V_product(tuple_n, zp) <= 1.05
-
-    def test_json_dump(self, tmp_path, twin):
-        S = build_lambda_system(twin, 10, 10)
-        text = lambda_system_to_json(S, str(tmp_path / "lam.json"))
-        data = json.loads(text)
-        assert data["support"] == [1, 2, 3, 5, 6, 7]
-        assert data["lambda"]["1"] == str(S.lam[1])
 
 
 def loop_f_tables(L, support_factored, exact):
