@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DensityZero,
     GcdViolation,
     LimitTooLarge,
@@ -29,6 +30,8 @@ from .errors import (
 )
 
 TABLE_CAP = 200_000_000
+# Largest prime power whose residues rho scans one by one.
+RHO_SCAN_CAP = 1_000_000
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -154,46 +157,44 @@ def _roots_mod_prime(L: LinearSystem, p: int):
 
 
 def rho(L: LinearSystem, d: int) -> int:
-    """Number of n mod d with L(n) = 0 (mod d).
+    """Number of n mod d with L(n) = 0 (mod d); rho(1) = 1.
 
-    Multiplicative over the prime factors for squarefree d; rho(1) = 1.
-    Non-squarefree d falls back to a direct root count mod d (documented
-    extension used only by diagnostics, e.g. checking rho(p^2) bounds).
+    Multiplicative over the prime-power parts of d (CRT).  A prime part
+    p counts the roots of L mod p; a part p^k with k > 1 is counted by a
+    direct scan of its p^k residues (a documented extension used only by
+    diagnostics, e.g. checking rho(p^2) bounds), and BudgetExceeded is
+    raised before any scan when a part is above RHO_SCAN_CAP.
     """
     d = int(d)
     if d < 1:
         raise ValueError("modulus must be positive")
-    if d == 1:
-        return 1
-    factors = factorize(d)
-    if all(e == 1 for _, e in factors):
-        out = 1
-        for p, _ in factors:
-            out *= _rho_prime(L, p)
-        return out
-    return sum(1 for n in range(d) if L.value(n) % d == 0)
+    parts = factorize(d)
+    for p, e in parts:
+        if e > 1 and p ** e > RHO_SCAN_CAP:
+            raise BudgetExceeded(f"rho scan of {p}^{e} above cap {RHO_SCAN_CAP}")
+    out = 1
+    for p, e in parts:
+        q = p ** e
+        out *= _rho_prime(L, p) if e == 1 else sum(1 for n in range(q) if L.value(n) % q == 0)
+    return out
 
 
 def roots_mod_squarefree(L: LinearSystem, d: int) -> list[int]:
     """All residues c mod squarefree d with L(c) = 0 (mod d), via CRT."""
-    if d == 1:
-        return [0]
-    roots = [0]
-    mod = 1
+    roots, mod = [0], 1
     for p, e in factorize(d):
         if e > 1:
             raise ValueError("modulus must be squarefree")
-        proots = _roots_mod_prime(L, p)
-        new = []
-        inv = pow(mod, -1, p)
-        for r in roots:
-            for rp in proots:
-                # n = r (mod mod), n = rp (mod p)
-                t = ((rp - r) * inv) % p
-                new.append(r + mod * t)
-        roots = new
+        roots = _crt(roots, mod, _roots_mod_prime(L, p), p)
         mod *= p
     return sorted(roots)
+
+
+def _crt(ra, a: int, rb, b: int) -> list[int]:
+    """The residues mod a*b, a and b coprime, that are r mod a and s mod b
+    for some r in ra and s in rb."""
+    inv = pow(a, -1, b)
+    return [r + a * ((s - r) * inv % b) for r in ra for s in rb]
 
 
 def is_admissible(L: LinearSystem) -> AdmissibilityReport:

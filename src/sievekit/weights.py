@@ -25,9 +25,13 @@ E the remainder sum over exact R_d = |A_d| - x rho(d)/d.  The identity
 is linear in the a_d, so exact mode snapshots any real weights into
 dyadic rationals and verifies a residual of exactly zero.  Exact mode runs
 on Python integers over a common denominator and divides once per output,
-as G_sum does.  The left side still enumerates every n <= x, grouped by
-kernel, the primes below z that divide L(n), so it shares nothing with
-the lambda algebra.
+as G_sum does, in S, E and the left side alike.  E counts |A_m| for the
+joint moduli m = [d, nu1, nu2] without factoring any m: the roots of each
+lcm [nu1, nu2] come by CRT from the lattice's primes, and one chunked
+numpy pass lifts them to every m = lcm * d, so its cost follows the
+number of roots, not x.  The left side still enumerates every n <= x,
+grouped by kernel, the primes below z that divide L(n), so it shares
+nothing with the lambda algebra.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import numpy as np
 
 from .arithmetic import (
     LinearSystem,
+    _crt,
     _primes_below,
     _roots_mod_prime,
     _rho_prime,
@@ -375,14 +380,20 @@ class SieveInstance:
             raise DomainError(f"x = {self.x} must be >= 0")
 
     def count_multiples(self, d: int) -> int:
-        """|A_d| = #{n <= x : L(n) = 0 mod d}, counted by residue class."""
-        return _count_in_classes(self.x, d, roots_mod_squarefree(self.L, d))
+        """|A_d| = #{n <= x : L(n) = 0 mod d}, counted by residue class,
+        for squarefree d >= 1."""
+        return _count_in_classes(self.x, d, self._roots(d))
 
     def remainder(self, d: int) -> Fraction:
         """Exact R_d = |A_d| - x*rho(d)/d, with rho(d) the number of roots
-        mod d (squarefree d), so the roots are enumerated once."""
-        roots = roots_mod_squarefree(self.L, d)
+        mod d (squarefree d >= 1), so the roots are enumerated once."""
+        roots = self._roots(d)
         return _count_in_classes(self.x, d, roots) - Fraction(self.x * len(roots), d)
+
+    def _roots(self, d: int) -> list[int]:
+        if d < 1:
+            raise ValueError(f"d = {d} must be >= 1")
+        return roots_mod_squarefree(self.L, d)
 
 
 def _count_in_classes(x: int, d: int, roots) -> int:
@@ -419,21 +430,34 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     """Main term: sum over support m and d in {1} u {primes < z},
     (d, m) = 1 unless relaxed, of  (1/f'(m)) (a_d/f(d))
     (sum_{r|d} mu(r) zeta_{rm})^2, for the system S.L, exact or float
-    as S is.
+    as S is.  Exact mode scales zeta, a_d, 1/f(p) and 1/f'(m) to
+    integers and makes one Fraction at the end.
 
     The relaxed variant drops the coprimality condition; with Richert
     weights the dropped terms are non-positive, so relaxed <= strict."""
-    zeta = S.zeta
-    a_vals = _richert_weights(W, S.exact)
-    # a_p / f(p); in float mode the division converts f(p) to float
-    a_over_f = {p: a / f_values(S.L, p)[0] for p, a in a_vals.items() if p > 1}
+    a, a_scale = _scaled(_richert_weights(W, S.exact), S.exact)
+    zeta, z_scale = _scaled(S.zeta, S.exact)
+    f = {p: f_values(S.L, p)[0] for p in a if p > 1}
+    lat = S.lattice
+    if S.exact:
+        # a_p / f(p) and 1/f'(m) = rho(m)/phi(m) as integers over the lcms
+        # of the f(p) numerators and of the phi(m)
+        f_scale = math.lcm(*(v.numerator for v in f.values()))
+        phi_scale = math.lcm(*lat.phi.values())
+        a_1 = a[1] * f_scale
+        a_over_f = {p: a[p] * v.denominator * (f_scale // v.numerator) for p, v in f.items()}
+        weight = {m: r * (phi_scale // lat.phi[m]) for m, r in lat.rho.items()}
+        scale = a_scale * f_scale * z_scale ** 2 * phi_scale
+    else:
+        # the division converts f(p) to float
+        a_1, a_over_f = a[1], {p: a[p] / v for p, v in f.items()}
+        weight = {m: r / lat.phi[m] for m, r in lat.rho.items()}
+        scale = 1
     terms = []
-    for m, rm in S.lattice.rho.items():
+    for m, w in weight.items():
         zm = zeta[m]
-        # 1/f'(m) = rho(m)/phi(m)
-        w = Fraction(rm, S.lattice.phi[m]) if S.exact else rm / S.lattice.phi[m]
         # d = 1
-        terms.append(a_vals[1] * zm * zm * w)
+        terms.append(a_1 * zm * zm * w)
         for p, a_f in a_over_f.items():
             if not relaxed and m % p == 0:
                 continue
@@ -443,41 +467,124 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
                 # 0 takes the type of zm
                 inner = zm - zeta.get(p * m, 0)
             terms.append(a_f * inner * inner * w)
-    return _total(S, terms)
+    return _total(S, terms, scale)
 
 
 def e_error(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):
     """Remainder term sum_{d, nu1, nu2} a_d lambda_nu1 lambda_nu2
     R_[d,nu1,nu2], exact or float as S is.  Each unordered pair is visited
     once, weight 2 when nu1 != nu2, and summed per lcm [nu1, nu2] before
-    the d spread it over the joint moduli m = [d, nu1, nu2].  Exact mode
-    scales lambda and a_d to integers and ends with one Fraction over the
-    lcm of the m."""
+    the d spread it over the joint moduli m = [d, nu1, nu2], one numpy
+    grid of (lcm, d).  The roots of each lcm come by CRT from the
+    lattice's primes and _class_hits lifts them to every m at once, so no
+    modulus is factored.  Exact mode scales lambda and a_d to integers and
+    ends with one Fraction over the lcm of the m."""
     a, a_scale = _scaled(_richert_weights(W, S.exact), S.exact)
     lam, lam_scale = _scaled(S.lam, S.exact)
     support = S.support
     if len(support) ** 2 * len(a) > SUPPORT_NODE_BUDGET:
         raise BudgetExceeded("error-term triple sum above budget")
-    joint = {}
+    joint, split = {}, {}
     for i, n1 in enumerate(support):
         l1 = lam[n1]
         l1x2 = 2 * l1
         for n2 in support[i:]:
-            nn = n1 * n2 // math.gcd(n1, n2)
-            joint[nn] = joint.get(nn, 0) + (l1 if n2 == n1 else l1x2) * lam[n2]
-    coeff = {}
-    for nn, l12 in joint.items():
-        for d, ad in a.items():
-            m = nn if nn % d == 0 else nn * d
-            coeff[m] = coeff.get(m, 0) + ad * l12
-    big = math.lcm(*coeff) if S.exact else 1
+            rest = n2 // math.gcd(n1, n2)
+            nn = n1 * rest
+            if nn not in joint:
+                joint[nn], split[nn] = 0, (n1, rest)
+            joint[nn] += (l1 if n2 == n1 else l1x2) * lam[n2]
+    if max(joint) * max(a) >= 1 << 63:
+        raise BudgetExceeded("joint modulus above 2^63")
+    # m = nn * d, or nn where d | nn, over the grid of lcms nn (first seen
+    # first) and weighted d; add.at sums each m in that row order
+    nn = np.array(list(joint), dtype=np.int64)[:, None]
+    d = np.array(list(a), dtype=np.int64)
+    spread = nn % d != 0
+    grid = np.where(spread, nn * d, nn).ravel()
+    moduli, first, at = np.unique(grid, return_index=True, return_inverse=True)
+    dtype = object if S.exact else float
+    coeff = np.zeros(len(moduli), dtype=dtype)
+    np.add.at(coeff, at, np.multiply.outer(np.array(list(joint.values()), dtype),
+                                           np.array(list(a.values()), dtype)).ravel())
+    roots = _support_roots(inst.L, S.lattice)
+    lcm_roots = [_crt(roots[n1], n1, roots[rest], rest) for n1, rest in split.values()]
+    # the first (nn, d) of each m, with d = 1 where m = nn
+    lift = np.where(spread.ravel()[first], d[first % len(d)], 1)
+    x = inst.x
+    hits, rho = _class_hits(inst.L, x, moduli, lift, first // len(d), lcm_roots)
+    big = math.lcm(*moduli.tolist()) if S.exact else 1
     terms = []
-    for m, c in coeff.items():
-        roots = roots_mod_squarefree(inst.L, m)
-        # m R_m = m |A_m| - x rho(m), an integer
-        mr = _count_in_classes(inst.x, m, roots) * m - inst.x * len(roots)
+    for m, c, h, r in zip(moduli.tolist(), coeff.tolist(), hits, rho):
+        # m R_m = m |A_m| - x rho(m) = m h - (x mod m) rho(m), an integer
+        mr = m * h - x % m * r
         terms.append(c * mr * (big // m) if S.exact else c * (mr / m))
     return _total(S, terms, big * a_scale * lam_scale ** 2)
+
+
+def _support_roots(L: LinearSystem, lat: SupportLattice) -> dict:
+    """Roots of L mod every support element m, as m = (m/p) * p for its
+    largest prime p (the last step of m, steps being sorted by p)."""
+    top = {m: (p, rest) for p, m, rest in lat.steps}
+    roots = {1: [0]}
+    for m in lat.rho:
+        if m > 1:
+            p, rest = top[m]
+            roots[m] = _crt(roots[rest], rest, _roots_mod_prime(L, p), p)
+    return roots
+
+
+def _flat(lists):
+    """(concatenation, start offsets, lengths) of lists of ints, in int64."""
+    count = np.array([len(v) for v in lists], dtype=np.int64)
+    return (np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64),
+            np.cumsum(count) - count, count)
+
+
+# Roots lifted per numpy pass in _class_hits: about 0.3 MB of int64
+# temporaries, whatever the number of moduli or roots.
+_LIFT_CHUNK = 4096
+
+
+def _class_hits(L: LinearSystem, x: int, m, d, lcm_index, lcm_roots):
+    """(hits, rho), lists over the int64 moduli m = nn * d, where nn is
+    lcm number lcm_index[i] with roots lcm_roots[lcm_index[i]] and d is 1
+    or a prime not dividing nn: rho(m) and the number of roots c of L
+    mod m with 1 <= c <= x mod m.
+
+    A root mod m is the CRT lift c = r + nn ((s - r) nn^-1 mod d) of a
+    root r mod nn and a root s mod d.  The (m, r, s) triples are laid out
+    flat and lifted _LIFT_CHUNK at a time.  Every int64 value stays below
+    m or d^2: the caller keeps m < 2^63, and its budget keeps pi(z) below
+    10^7, so d < 2^28.  #{n <= x : n = c mod m} is x // m plus 1 when
+    1 <= c <= x mod m, so |A_m| = rho(m) (x // m) + hits, and x itself
+    never enters int64."""
+    nn = m // d
+    nn_flat, nn_start, nn_count = _flat(lcm_roots)
+    primes, d_index = np.unique(d, return_inverse=True)
+    d_flat, d_start, d_count = _flat([_roots_mod_prime(L, q) if q > 1 else [0]
+                                      for q in primes.tolist()])
+    inv = np.array([pow(n, -1, q) for n, q in zip(nn.tolist(), d.tolist())], dtype=np.int64)
+    below = np.array([x % v for v in m.tolist()], dtype=np.int64)
+    r_start, per_d = nn_start[lcm_index], d_count[d_index]
+    s_start = d_start[d_index]
+    rho = nn_count[lcm_index] * per_d
+    end = np.cumsum(rho)
+    begin = end - rho
+    hits = np.zeros(len(m), dtype=np.int64)
+    for lo in range(0, int(end[-1]), _LIFT_CHUNK):
+        at = np.arange(lo, min(lo + _LIFT_CHUNK, int(end[-1])))
+        # modulus k of each triple and its place j among the rho(m) of k
+        k = np.searchsorted(end, at, side="right")
+        j = at - begin[k]
+        r = nn_flat[r_start[k] + j // per_d[k]]
+        s = d_flat[s_start[k] + j % per_d[k]]
+        q = d[k]
+        c = r + nn[k] * ((s - r % q) % q * inv[k] % q)
+        k = k[(c >= 1) & (c <= below[k])]  # ascending
+        if len(k):
+            hits[k[0]:k[-1] + 1] += np.bincount(k - k[0])
+    return hits.tolist(), rho.tolist()
 
 
 def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):

@@ -20,11 +20,18 @@ from sievekit.arithmetic import (
     omega_L,
     parse_tuple_spec,
     rho,
+    RHO_SCAN_CAP,
     _primes_upto_list,
     _roots_mod_prime,
     _rho_prime,
 )
-from sievekit.errors import GcdViolation, LimitTooLarge, ZeroDiscriminant, ZeroValue
+from sievekit.errors import (
+    BudgetExceeded,
+    GcdViolation,
+    LimitTooLarge,
+    ZeroDiscriminant,
+    ZeroValue,
+)
 
 
 def brute_rho(L, d):
@@ -126,6 +133,20 @@ class TestRho:
         L = from_offsets([0, 2, 6])
         for p in (2, 3, 5, 7, 11, 13):
             assert rho(L, p * p) <= L.kappa * L.delta ** 2
+
+    def test_prime_power_parts(self, twin):
+        # 4*10^7 = 2^9 * 5^7: one scan of 512 and one of 78125 residues,
+        # not of 4*10^7
+        assert rho(twin, 4 * 10 ** 7) == brute_rho(twin, 2 ** 9) * brute_rho(twin, 5 ** 7)
+        L = from_offsets([0, 2, 6])
+        assert rho(L, 2 ** 3 * 3 ** 2 * 5 * 7) == brute_rho(L, 2 ** 3 * 3 ** 2 * 5 * 7)
+
+    def test_scan_cap_refused(self, twin, monkeypatch):
+        big = 2 ** RHO_SCAN_CAP.bit_length()
+        assert big > RHO_SCAN_CAP
+        monkeypatch.setattr(twin.__class__, "value", lambda *a: pytest.fail("scanned"))
+        with pytest.raises(BudgetExceeded, match=rf"^rho scan of 2\^{big.bit_length() - 1} "):
+            rho(twin, 3 * big)
 
 
 @settings(max_examples=60, deadline=None)

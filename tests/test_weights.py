@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sievekit import weights
+from sievekit import arithmetic, weights
 from sievekit.arithmetic import build_system, f_values, from_offsets, rho, V_product
 from sievekit.delay_ode import solve_j
 from sievekit.errors import (
@@ -414,6 +415,13 @@ class TestInstance:
             assert inst.count_multiples(d) == count
             assert inst.remainder(d) == count - Fraction(x * brute_rho(L, d), d)
 
+    @pytest.mark.parametrize("d", [-3, 0])
+    def test_modulus_below_one_rejected(self, twin, d):
+        inst = SieveInstance(twin, 100)
+        for fn in (inst.count_multiples, inst.remainder):
+            with pytest.raises(ValueError, match=rf"^d = {d} must be >= 1$"):
+                fn(d)
+
     def test_remainder_hand_values(self, tuple_n):
         inst = SieveInstance(tuple_n, 100)
         assert inst.remainder(3) == Fraction(-1, 3)   # 33 - 100/3
@@ -495,6 +503,58 @@ class TestIdentityOracles:
             assert fn(inst, W, exact) == want
             assert abs(fn(inst, W, flt) - oracle(inst, W, flt)) <= 1e-12 * abs(want)
         assert decompose(inst, W, exact).residual == 0
+
+
+# The bench identity ({0,2}, x = 20,000, z = z' = 50, xi = 300, the CLI's
+# b = y = 3) and a large x with small moduli
+LIFT_CASES = [(20_000, 50, 50, 300), (10 ** 6, 30, 30, 60)]
+
+
+class TestJointModulusLift:
+    @pytest.mark.parametrize("x,z,zp,xi", LIFT_CASES)
+    def test_match_oracle(self, twin, x, z, zp, xi):
+        W = RichertWeights(b=3.0, y=3.0, z=z)
+        inst = SieveInstance(twin, x)
+        exact = build_lambda_system(twin, xi, zp)
+        want = e_error_oracle(inst, W, exact)
+        assert e_error(inst, W, exact) == want
+        flt = build_lambda_system(twin, xi, zp, exact=False)
+        assert abs(e_error(inst, W, flt) - e_error_oracle(inst, W, flt)) <= 1e-12 * abs(want)
+
+    def test_factors_no_modulus(self, twin, monkeypatch):
+        W = RichertWeights(b=3.0, y=3.0, z=50.0)
+        inst = SieveInstance(twin, 20_000)
+        S = build_lambda_system(twin, 300, 50)
+        want = e_error(inst, W, S)
+
+        def refuse(*args):
+            pytest.fail("a modulus was factored")
+
+        monkeypatch.setattr(arithmetic, "factorize", refuse)
+        monkeypatch.setattr(weights, "roots_mod_squarefree", refuse)
+        assert e_error(inst, W, S) == want
+
+    def test_traced_peak_below_4_mb(self, twin):
+        W = RichertWeights(b=3.0, y=3.0, z=50.0)
+        inst = SieveInstance(twin, 20_000)
+        S = build_lambda_system(twin, 300, 50)
+        e_error(inst, W, S)
+        tracemalloc.start()
+        try:
+            e_error(inst, W, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_modulus_above_int64_refused(self, twin):
+        # a support element near 2^62 times the prime d = 3 of a
+        W = RichertWeights(b=3.0, y=3.0, z=5.0)
+        S = build_lambda_system(twin, 10, 5)
+        big = 2 ** 62 + 1
+        huge = dataclasses.replace(S, support=(1, big), lam={1: S.lam[1], big: S.lam[1]})
+        with pytest.raises(BudgetExceeded, match=r"^joint modulus above 2\^63$"):
+            e_error(SieveInstance(twin, 100), W, huge)
 
 
 class TestDecompose:
