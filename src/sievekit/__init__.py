@@ -30,7 +30,6 @@ from .delay_ode import (
     JFunction,
     SaddleParams,
     c_kappa,
-    eval_j,
     saddle_j_prime,
     solve_j,
     tail_check,

@@ -180,7 +180,9 @@ def rho(L: LinearSystem, d: int) -> int:
 
 
 def roots_mod_squarefree(L: LinearSystem, d: int) -> list[int]:
-    """All residues c mod squarefree d with L(c) = 0 (mod d), via CRT."""
+    """All residues c mod squarefree d >= 1 with L(c) = 0 (mod d), via CRT."""
+    if d < 1:
+        raise ValueError(f"d = {d} must be >= 1")
     roots, mod = [0], 1
     for p, e in factorize(d):
         if e > 1:
@@ -227,8 +229,10 @@ def is_admissible(L: LinearSystem) -> AdmissibilityReport:
 
 
 def f_values(L: LinearSystem, d: int) -> tuple[Fraction, Fraction]:
-    """Exact (f(d), f'(d)) for squarefree d: f(d) = d/rho(d),
+    """Exact (f(d), f'(d)) for squarefree d >= 1: f(d) = d/rho(d),
     f'(d) = prod_{p|d} (f(p) - 1)."""
+    if d < 1:
+        raise ValueError(f"d = {d} must be >= 1")
     if d == 1:
         return Fraction(1), Fraction(1)
     f = Fraction(1)

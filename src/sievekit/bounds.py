@@ -11,7 +11,9 @@ the same positivity condition
     b(r) * I1 - kappa * I2 - kappa * I3 > 0,    b(r) = r + 1 - kappa*(1 + 2u/l),
 
 directly from quadrature of the solved delay ODE, with the canonical
-choices u = kappa - 1/9, l = 2*kappa and P = 1 unless overridden.
+choices u = kappa - 1/9, l = 2*kappa and P = 1 unless overridden.  A
+given J must be j_kappa solved up to u, l must be finite and >= u, and
+a kappa that is not a whole number is refused, never truncated.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delay_ode import EULER_GAMMA, MAX_KAPPA, JFunction, solve_j
+from .delay_ode import EULER_GAMMA, MAX_KAPPA, JFunction, _integer_kappa
 from .errors import InfeasibleB
-from .moments import MainIntegrals, SievePolynomial, main_integrals
+from .moments import MainIntegrals, SievePolynomial, canonical_u, main_integrals
 
 LINEAR_COEFF = 1.0 + EULER_GAMMA / 2.0 + math.log(4.0)
 
@@ -58,7 +60,7 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
     for name, slack in (("delta", delta), ("eps", eps)):
         if not 0.0 <= slack < math.inf:
             raise ValueError(f"{name} = {slack:g} must be finite and >= 0")
-    u = kappa - 1.0 / 9.0
+    u = canonical_u(kappa)
     l = 2.0 * kappa
     U = 1.0 + 2.0 * u / l + delta
     V = l * U
@@ -72,8 +74,6 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
         raise ValueError(f"alpha = {alpha:g} must be finite and > 1")
     if 1.0 / U >= 1.0 - 1.0 / alpha:
         raise ValueError("alpha too small: need 1/U < 1 - 1/alpha")
-    if u > l:
-        raise ValueError("need u <= l")
     return SieveParameters(kappa, u, l, U, V, alpha, delta, eps, b, int(r))
 
 
@@ -131,13 +131,11 @@ def r_bound_numeric(kappa: int, l: float | None = None, u: float | None = None,
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
     if u is None:
-        u = kappa - 1.0 / 9.0
+        u = canonical_u(kappa)
     if l is None:
         l = 2.0 * kappa
     if P is None:
         P = SievePolynomial.one(u)
-    if J is None:
-        J = solve_j(kappa, max(u, 1.0))
     ints = main_integrals(kappa, u, l, P, J=J)
     b_needed = kappa * (ints.i2 + ints.i3) / ints.i1
     # b(r) = r + 1 - kappa(1 + 2u/l) > b_needed
@@ -162,7 +160,7 @@ def table(kappas, numeric: bool = True, slack: float = 0.0) -> list[BoundRow]:
     omitted (with a reason) above delay_ode.MAX_KAPPA, where the solver
     refuses."""
     rows = []
-    for kappa in sorted(set(int(k) for k in kappas)):
+    for kappa in sorted(set(map(_integer_kappa, kappas))):
         t1, t2, t3 = explicit_terms(kappa)
         r_exp = r_bound_explicit(kappa, slack=slack)
         r_num = None

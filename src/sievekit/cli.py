@@ -130,10 +130,12 @@ def cmd_identity(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.density and args.r is None:
+        raise ValueError("--density needs --r")
     L = parse_tuple_spec(args.tuple)
     sieve = {"segment_size": args.segment_size, "threads": args.threads}
     # a count or density needs no histogram
-    if args.r is not None and args.density:
+    if args.density:
         rep = search_mod.density_report(L, args.x, args.r, **sieve)
         _write_json(asdict(rep), args.output, indent=None, sort_keys=True)
     elif args.r is not None:
@@ -255,9 +257,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # jfun default domain: the canonical u
     if args.command == "jfun" and args.w_max is None:
-        args.w_max = max(args.kappa - 1.0 / 9.0, 1.0)
+        args.w_max = max(moments_mod.canonical_u(args.kappa), 1.0)
     try:
         return args.func(args)
     except _BUDGET_ERRORS as exc:

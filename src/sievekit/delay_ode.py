@@ -353,16 +353,22 @@ def _solve_interval(kappa, m, coeffs, g_left, n):
     return gc, kappa * tail
 
 
+def _integer_kappa(kappa) -> int:
+    """kappa as an int; ValueError unless it is a whole number >= 1."""
+    if not (float(kappa).is_integer() and kappa >= 1):
+        raise ValueError(f"kappa = {kappa} must be an integer >= 1")
+    return int(kappa)
+
+
 def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> JFunction:
     """Solve the delay ODE for j_kappa on [0, w_max] by method of steps.
 
     Each unit interval is solved by Chebyshev collocation of the scaled
     update; the degree escalates (up to 256) until the truncation
-    estimate drops below tol relative to g, else ToleranceNotMet.
+    estimate drops below tol relative to g, else ToleranceNotMet.  A kappa
+    that is not a whole number is refused, not truncated.
     """
-    kappa = int(kappa)
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+    kappa = _integer_kappa(kappa)
     if kappa > MAX_KAPPA:
         raise RangeOverflow(f"kappa > {MAX_KAPPA}: scaled solution underflows")
     if not 1.0 <= w_max <= kappa + 2.0 + 1e-9:
@@ -393,18 +399,6 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> J
         g_left = g_right
 
     return JFunction(kappa, w_max, tol, max_deg, c_kappa(kappa).log, coeffs)
-
-
-def eval_j(J: JFunction, w: float, order: int = 0, scale: str = "linear"):
-    """j (order 0) or j' (order 1) at w; zero for w <= 0, OutOfRange
-    beyond w_max.  scale="log" returns the natural log (-inf at zeros)."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if scale not in ("linear", "log"):
-        raise ValueError("scale must be 'linear' or 'log'")
-    if order == 0:
-        return J.j(w) if scale == "linear" else J.log_j(w)
-    return J.j_prime(w) if scale == "linear" else J.log_j_prime(w)
 
 
 def saddle_j_prime(sp: SaddleParams, w: float) -> tuple[float, float]:

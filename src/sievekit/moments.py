@@ -12,6 +12,11 @@ with closed asymptotic forms at u = kappa - 1/9:
     J1(1) = sqrt(kappa/pi)/2 - 1/18 + O(1/sqrt(kappa))
     J2(0) = log(kappa)/4 + digamma(1/2)/4 - 1/(9 sqrt(pi kappa)) + O(log k/k)
 
+``canonical_u`` is that u.  Every integral of the solved j_kappa has one check:
+u must be finite and positive, and a J passed in must be solved for the same
+kappa up to u (DomainError otherwise); with no J, j_kappa is solved on
+[0, max(u, 1)].
+
 Every one of these integrals, and every main-term integral, is
 int_0^u c(w) (log w)^(0 or 1) j'(u-w) dw with c a polynomial, and goes
 through one quadrature routine.  It subdivides at the knots u - m where
@@ -226,23 +231,32 @@ class MomentReport:
     envelope: float | None
 
 
-def _dde_source(J, u):
-    """j' of the solved delay ODE, at one point and at the node table."""
-    if J.w_max < u * (1.0 - 1e-12):
-        raise DomainError("JFunction solved below u")
+def canonical_u(kappa) -> float:
+    """The paper's choice u = kappa - 1/9 of the sieve parameter u."""
+    return kappa - 1.0 / 9.0
 
-    def nodes(rows, n):
-        return J.j_prime_nodes(n)[rows[0]:rows[-1] + 1]
 
-    return J.j_prime, nodes
+def _resolve_j(kappa, u, J):
+    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)]."""
+    if not 0.0 < u < math.inf:
+        raise DomainError(f"u = {u:g} must be positive and finite")
+    if J is None:
+        return solve_j(kappa, max(u, 1.0))
+    if J.kappa != kappa or J.w_max < u * (1.0 - 1e-12):
+        raise DomainError(f"J solved for kappa = {J.kappa} on [0, {J.w_max:g}] does "
+                          f"not serve kappa = {kappa} up to u = {u:g}")
+    return J
 
 
 def _jprime_factory(kappa, u, source, J):
     """(j' at one point, j' at the nodes of unit intervals, upper limit)."""
     if source == "dde":
-        if J is None:
-            J = solve_j(kappa, max(u, 1.0))
-        return *_dde_source(J, u), u
+        J = _resolve_j(kappa, u, J)
+
+        def nodes(rows, n):
+            return J.j_prime_nodes(n)[rows[0]:rows[-1] + 1]
+
+        return J.j_prime, nodes, u
     if source == "saddle":
         sp = SaddleParams(kappa, d=kappa - 1.0 / 3.0 - u)
         cutoff = min(u, kappa ** 0.6)
@@ -259,8 +273,19 @@ def _jprime_factory(kappa, u, source, J):
     raise ValueError("source must be 'dde' or 'saddle'")
 
 
-def _is_canonical_u(kappa, u):
-    return abs(u - (kappa - 1.0 / 9.0)) < 1e-9
+def _moment(kappa, u, i, source, J, log, comparator) -> MomentReport:
+    """Report of int_0^u w^i (log w if ``log``) j'(u-w) dw, u canonical when
+    None; only there does ``comparator()`` supply (asymptotic, envelope)."""
+    if u is None:
+        u = canonical_u(kappa)
+    jp, nodes, upper = _jprime_factory(kappa, u, source, J)
+    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], log=log)
+    asym = env = diff = None
+    if comparator and abs(u - canonical_u(kappa)) < 1e-9:
+        asym, env = comparator()
+        diff = value - asym
+    name = f"J{2 if log else 1}({i})"
+    return MomentReport(kappa, u, i, name, source, value, asym, diff, env)
 
 
 def moment_J1(kappa: int, u: float | None = None, i: int = 0,
@@ -269,21 +294,13 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
     canonical u = kappa - 1/9 (i in {0, 1})."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    if u is None:
-        u = kappa - 1.0 / 9.0
-    jp, nodes, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0])
-    asym = None
-    env = None
-    if _is_canonical_u(kappa, u):
+
+    def comparator():
         if i == 0:
-            asym = 0.5
-            env = 2.0 / kappa
-        else:
-            asym = 0.5 * math.sqrt(kappa / math.pi) - 1.0 / 18.0
-            env = 2.0 / math.sqrt(kappa)
-    diff = None if asym is None else value - asym
-    return MomentReport(kappa, u, i, f"J1({i})", source, value, asym, diff, env)
+            return 0.5, 2.0 / kappa
+        return 0.5 * math.sqrt(kappa / math.pi) - 1.0 / 18.0, 2.0 / math.sqrt(kappa)
+
+    return _moment(kappa, u, i, source, J, log=False, comparator=comparator)
 
 
 def moment_J2(kappa: int, u: float | None = None, i: int = 0,
@@ -292,19 +309,15 @@ def moment_J2(kappa: int, u: float | None = None, i: int = 0,
     singularity at w = 0 goes to a log-weighted quadrature rule."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    if u is None:
-        u = kappa - 1.0 / 9.0
-    jp, nodes, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], log=True)
-    asym = None
-    env = None
+
+    def comparator():
+        return (0.25 * math.log(kappa) + 0.25 * digamma(0.5)
+                - 1.0 / (9.0 * math.sqrt(math.pi * kappa)),
+                5.0 * math.log(kappa) / kappa)
+
     # at kappa = 1 the envelope 5 log(kappa)/kappa is 0: no comparator
-    if i == 0 and kappa > 1 and _is_canonical_u(kappa, u):
-        asym = (0.25 * math.log(kappa) + 0.25 * digamma(0.5)
-                - 1.0 / (9.0 * math.sqrt(math.pi * kappa)))
-        env = 5.0 * math.log(kappa) / kappa
-    diff = None if asym is None else value - asym
-    return MomentReport(kappa, u, i, f"J2({i})", source, value, asym, diff, env)
+    return _moment(kappa, u, i, source, J, log=True,
+                   comparator=comparator if i == 0 and kappa > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -323,12 +336,10 @@ def ratios(kappa: int, J: JFunction | None = None) -> RatioReport:
     """Moment ratios with their closed asymptotic forms (d = -2/9)."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
-    u = kappa - 1.0 / 9.0
-    if J is None:
-        J = solve_j(kappa, u)
-    j10 = moment_J1(kappa, u, 0, J=J).value
-    j11 = moment_J1(kappa, u, 1, J=J).value
-    j20 = moment_J2(kappa, u, 0, J=J).value
+    J = _resolve_j(kappa, canonical_u(kappa), J)
+    j10 = moment_J1(kappa, i=0, J=J).value
+    j11 = moment_J1(kappa, i=1, J=J).value
+    j20 = moment_J2(kappa, i=0, J=J).value
     return RatioReport(
         kappa=kappa,
         r1=j11 / j10,
@@ -390,14 +401,12 @@ def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
         I3 = int_0^u P(w)^2 (log(l/w) - 1 + w/l) j'(u-w) dw
 
     where the I3 inner integral int_w^l (1-t/l) dt/t is already in closed
-    form.  Requires u <= l."""
-    if u > l:
-        raise DomainError("need u <= l")
+    form.  Requires u <= l < inf."""
+    if not u <= l < math.inf:
+        raise DomainError(f"need u <= l < inf, got u = {u:g}, l = {l:g}")
     if P.u < u * (1.0 - 1e-12):
         raise DomainError("P not defined up to u")
-    if J is None:
-        J = solve_j(kappa, max(u, 1.0))
-    jp, nodes = _dde_source(J, u)
+    jp, nodes, _ = _jprime_factory(kappa, u, "dde", J)
     poly = np.polynomial.polynomial
     p2 = poly.polymul(P.coef, P.coef)
 
@@ -418,9 +427,7 @@ def moment_table(kappas) -> list[MomentReport]:
     """J1(0), J1(1), J2(0) reports at u = kappa - 1/9 for each kappa."""
     rows = []
     for k in kappas:
-        J = solve_j(k, max(k - 1.0 / 9.0, 1.0))
-        rows.append(moment_J1(k, i=0, J=J))
-        rows.append(moment_J1(k, i=1, J=J))
-        rows.append(moment_J2(k, i=0, J=J))
+        J = _resolve_j(k, canonical_u(k), None)
+        rows += [moment_J1(k, i=0, J=J), moment_J1(k, i=1, J=J), moment_J2(k, i=0, J=J)]
     return rows
 

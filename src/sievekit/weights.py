@@ -64,7 +64,7 @@ from .errors import (
     SupportEmpty,
     ZeroFactor,
 )
-from .moments import SievePolynomial
+from .moments import SievePolynomial, _resolve_j
 
 SUPPORT_NODE_BUDGET = 10_000_000
 GSUM_WORK_BUDGET = 100_000_000
@@ -354,10 +354,11 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
 
 
 def g_sum_report(L: LinearSystem, r: float, z_prime: float, J) -> dict:
-    """Compare G(r, z') with its sieve-density approximation
-    j_kappa(log r/log z') / V(z')."""
+    """Compare G(r, z') with its sieve-density approximation j_kappa(tau) /
+    V(z'), tau = log r/log z', from J solved for L.kappa up to tau."""
     g = G_sum(L, r, z_prime)
     tau = math.log(r) / math.log(z_prime)
+    J = _resolve_j(L.kappa, tau, J)
     v = V_product(L, z_prime)
     approx = J.j(tau) / v
     return {"G": g, "tau": tau, "V": v, "approx": approx, "ratio": g / approx}
@@ -382,18 +383,13 @@ class SieveInstance:
     def count_multiples(self, d: int) -> int:
         """|A_d| = #{n <= x : L(n) = 0 mod d}, counted by residue class,
         for squarefree d >= 1."""
-        return _count_in_classes(self.x, d, self._roots(d))
+        return _count_in_classes(self.x, d, roots_mod_squarefree(self.L, d))
 
     def remainder(self, d: int) -> Fraction:
         """Exact R_d = |A_d| - x*rho(d)/d, with rho(d) the number of roots
         mod d (squarefree d >= 1), so the roots are enumerated once."""
-        roots = self._roots(d)
+        roots = roots_mod_squarefree(self.L, d)
         return _count_in_classes(self.x, d, roots) - Fraction(self.x * len(roots), d)
-
-    def _roots(self, d: int) -> list[int]:
-        if d < 1:
-            raise ValueError(f"d = {d} must be >= 1")
-        return roots_mod_squarefree(self.L, d)
 
 
 def _count_in_classes(x: int, d: int, roots) -> int:

@@ -20,6 +20,7 @@ from sievekit.arithmetic import (
     omega_L,
     parse_tuple_spec,
     rho,
+    roots_mod_squarefree,
     RHO_SCAN_CAP,
     _primes_upto_list,
     _roots_mod_prime,
@@ -192,6 +193,13 @@ class TestFValues:
 
     def test_unit(self, twin):
         assert f_values(twin, 1) == (1, 1)
+
+    @pytest.mark.parametrize("d", [-15, -3, 0])
+    def test_modulus_below_one_refused(self, twin, d):
+        # |d| was factored, so d = -15 once gave the roots and f of 15
+        for fn in (f_values, roots_mod_squarefree):
+            with pytest.raises(ValueError, match=f"^d = {d} must be >= 1$"):
+                fn(twin, d)
 
     def test_roundtrip_f_times_rho(self, twin):
         for d in (2, 3, 5, 6, 15, 30, 105):

@@ -12,7 +12,7 @@ from sievekit.bounds import (
     table,
 )
 from sievekit.delay_ode import EULER_GAMMA, MAX_KAPPA, solve_j
-from sievekit.errors import InfeasibleB, RangeOverflow
+from sievekit.errors import DomainError, InfeasibleB, RangeOverflow
 from sievekit.moments import SievePolynomial, moment_J1, moment_J2
 
 
@@ -168,6 +168,16 @@ class TestNumeric:
         assert nb.integrals.i2 > 0.0
         assert nb.margin(nb.r) > 0.0 >= nb.margin(nb.r - 1)
 
+    @pytest.mark.parametrize("l", [math.inf, math.nan])
+    def test_l_must_be_finite(self, jfun, l):
+        # l = inf overflowed in the I2 kernel, l = nan failed as quadrature
+        with pytest.raises(DomainError, match="^need u <= l < inf"):
+            r_bound_numeric(10, l=l, J=jfun(10))
+
+    def test_fractional_kappa_refused(self):
+        with pytest.raises(ValueError, match="^kappa = 10.5 must be an integer >= 1$"):
+            r_bound_numeric(10.5)
+
 
 class TestTable:
     def test_rows_and_trend(self, jfun):
@@ -178,6 +188,12 @@ class TestTable:
 
     def test_empty(self):
         assert table([]) == []
+
+    def test_fractional_kappa_refused(self):
+        # table([10.7]) once gave a kappa = 10 row
+        with pytest.raises(ValueError, match="^kappa = 10.7 must be an integer >= 1$"):
+            table([10.7], numeric=False)
+        assert [r.kappa for r in table([10.0, 20], numeric=False)] == [10, 20]
 
     def test_k100_row(self):
         row = table([100], numeric=False)[0]

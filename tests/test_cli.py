@@ -248,6 +248,7 @@ class TestContracts:
         (IDENTITY + ("--x", "-5"), "x = -5 must be >= 0"),
         (SEARCH + ("--r", "-1"), "r = -1 must be >= 0"),
         (SEARCH + ("--r", "-1", "--density"), "r = -1 must be >= 0"),
+        (SEARCH + ("--density",), "--density needs --r"),
         # U = 1 exactly at kappa = 10, where alpha = 10 U / (U - 1) has no value
         (PARAMS + ("--delta", "-0.9888888888888889"),
          "delta = -0.988889 must be finite and >= 0"),
@@ -272,10 +273,11 @@ class TestContracts:
         (("bound", "--kappa", "10", "--slack", "inf"), "slack = inf must be finite"),
     ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
             "b-inf", "b-nan", "y-nan", "z-inf", "zp-nan", "zp-inf", "xi-nan", "xi-inf",
-            "x--5", "r--1", "r--1-density", "delta-U-1", "delta-U-near-1", "delta-nan",
-            "delta-inf", "eps-nan", "eps--1", "tol-nan", "tol--1", "tol-0", "degree-257",
-            "degree-30000", "kappa-empty", "kappa-step-negative", "kappa-step-0",
-            "kappa-four-parts", "kappa-nan", "slack-nan", "slack-inf"])
+            "x--5", "r--1", "r--1-density", "density-without-r", "delta-U-1",
+            "delta-U-near-1", "delta-nan", "delta-inf", "eps-nan", "eps--1", "tol-nan",
+            "tol--1", "tol-0", "degree-257", "degree-30000", "kappa-empty",
+            "kappa-step-negative", "kappa-step-0", "kappa-four-parts", "kappa-nan",
+            "slack-nan", "slack-inf"])
     def test_bad_value_exit_2(self, capsys, argv, message):
         # a later --z, --x, ... overrides the one in IDENTITY
         code, out, err = run_cli(capsys, *argv)

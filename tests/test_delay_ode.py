@@ -11,7 +11,6 @@ from sievekit.delay_ode import (
     _collocation,
     _previous_values,
     c_kappa,
-    eval_j,
     gauss_legendre,
     saddle_j_prime,
     solve_j,
@@ -162,7 +161,7 @@ class TestUnitRange:
             assert J.j(w) == pytest.approx(J.j(1.0), rel=1e-10)
             assert J.q_prime(w) == pytest.approx(kappa, rel=1e-10)
             assert J.j_prime(w) == pytest.approx(J.j_prime(1.0), rel=1e-10)
-            assert eval_j(J, w, 1, scale="log") == J.log_j_prime(w)
+            assert J.log_j_prime(w) == pytest.approx(J.log_c + math.log(kappa), abs=1e-10)
             assert J.representation_residual(w) == 0.0
 
     def test_beyond_tolerance(self):
@@ -287,10 +286,12 @@ class TestSolve:
             assert worst <= J.tol
 
     def test_monotone(self, jfun):
+        # q' is an exp or 0, never negative, so monotonicity is checked on
+        # log q itself: its smallest step on this grid is 5e-4 at kappa = 1
         for k in (1, 3, 20):
             J = jfun(k, max(k - 1.0 / 9.0, 2.0))
-            ws = np.linspace(1e-6, J.w_max, 700)
-            assert min(J.q_prime(float(w)) for w in ws) >= -J.tol
+            lq = [J.log_q(float(w)) for w in np.linspace(1e-6, J.w_max, 700)]
+            assert all(b > a for a, b in zip(lq, lq[1:]))
 
     def test_continuity_at_knots(self, jfun):
         J = jfun(12)
@@ -312,6 +313,17 @@ class TestSolve:
             solve_j(0, 1.0)
         with pytest.raises(ValueError):
             solve_j(3, 9.0)  # w_max > kappa + 2
+
+    @pytest.mark.parametrize("kappa", [2.7, 10.5, math.nan])
+    def test_kappa_must_be_an_integer(self, kappa):
+        # a fractional kappa was once truncated, so solve_j(2.7, 3) solved j_2
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} must be an integer >= 1$"):
+            solve_j(kappa, 3.0)
+
+    def test_whole_kappa_of_any_type(self):
+        for kappa in (3.0, np.int64(3), np.float64(3.0)):
+            J = solve_j(kappa, 3.0)
+            assert type(J.kappa) is int and J.kappa == 3
 
     @pytest.mark.parametrize("degree", [3, 257, 30000])
     def test_degree_between_4_and_max(self, degree):
@@ -470,26 +482,27 @@ class TestNodeTable:
 class TestEval:
     def test_zero_left_of_origin(self, jfun):
         J = jfun(3)
-        assert eval_j(J, -1.0) == 0.0
-        assert eval_j(J, -1.0, order=1) == 0.0
+        assert J.j(-1.0) == J.j_prime(-1.0) == 0.0
+        assert J.log_j(-1.0) == J.log_j_prime(-1.0) == -math.inf
 
     def test_closed_form_values(self, jfun):
         J = jfun(1, 3.0)
         c1 = math.exp(-EULER_GAMMA)
-        assert eval_j(J, 0.5) == pytest.approx(c1 * 0.5, rel=1e-12)
-        assert eval_j(J, 1.5) == pytest.approx(c1 * closed_form_k1(1.5), rel=1e-11)
+        assert J.j(0.5) == pytest.approx(c1 * 0.5, rel=1e-12)
+        assert J.j(1.5) == pytest.approx(c1 * closed_form_k1(1.5), rel=1e-11)
         assert c1 * closed_form_k1(1.5) == pytest.approx(0.7814, abs=5e-4)
 
     def test_out_of_range(self, jfun):
-        with pytest.raises(OutOfRange):
-            eval_j(jfun(2, 3.0), 3.5)
+        J = jfun(2, 3.0)
+        for fn in (J.j, J.log_j, J.j_prime, J.log_j_prime):
+            with pytest.raises(OutOfRange):
+                fn(3.5)
 
     def test_log_scale_consistent(self, jfun):
         J = jfun(10)
         for w in (0.3, 1.7, 5.5, 9.8):
-            assert math.exp(eval_j(J, w, scale="log")) == pytest.approx(eval_j(J, w), rel=1e-12)
-            assert math.exp(eval_j(J, w, 1, scale="log")) == pytest.approx(
-                eval_j(J, w, 1), rel=1e-12)
+            assert math.exp(J.log_j(w)) == pytest.approx(J.j(w), rel=1e-12)
+            assert math.exp(J.log_j_prime(w)) == pytest.approx(J.j_prime(w), rel=1e-12)
 
     def test_jprime_continuity_at_1(self, jfun):
         J = jfun(4)

@@ -231,6 +231,46 @@ class TestMainIntegrals:
             main_integrals(6, 6 - 1.0 / 9.0, 2.0, SievePolynomial.one(6.0), J=jfun(6))
 
 
+class TestResolveJ:
+    """A given J must be j_kappa for the kappa asked for, solved up to u, and
+    u must be finite and positive; each used to give a silently wrong value,
+    e.g. moment_J1(10, J=j_20) was 1.3e-4 against 0.500."""
+
+    CALLS = {
+        "J1": lambda J, u=None: moment_J1(10, u=u, J=J),
+        "J2": lambda J, u=None: moment_J2(10, u=u, J=J),
+        "ratios": lambda J, u=None: ratios(10, J=J),
+        "main": lambda J, u=9.5: main_integrals(10, u, 20.0, SievePolynomial.one(9.5), J=J),
+        "r_bound": lambda J, u=None: r_bound_numeric(10, u=u, J=J),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_j_for_another_kappa(self, jfun, name):
+        with pytest.raises(DomainError, match="J solved for kappa = 20 on"):
+            self.CALLS[name](jfun(20, 20.0))
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_j_below_u(self, jfun, name):
+        with pytest.raises(DomainError, match=r"J solved for kappa = 10 on \[0, 5\]"):
+            self.CALLS[name](jfun(10, 5.0))
+
+    @pytest.mark.parametrize("name", ["J1", "J2", "r_bound"])
+    @pytest.mark.parametrize("u", [-1.0, 0.0, math.nan, math.inf])
+    def test_u_must_be_finite_and_positive(self, name, u):
+        with pytest.raises(DomainError):
+            self.CALLS[name](None, u)
+
+    def test_u_refused_before_solving(self):
+        with pytest.raises(DomainError, match="^u = -1 must be positive and finite$"):
+            moment_J1(10, u=-1.0)
+
+    def test_fractional_kappa_refused(self, jfun):
+        with pytest.raises(ValueError, match="kappa = 2.7 must be an integer"):
+            moment_J1(2.7)
+        with pytest.raises(DomainError):
+            moment_J1(2.7, J=jfun(2))
+
+
 class TestMpmathReference:
     """kappa = 1, u = 1.9: j'(v) = e^-gamma on (0, 1) and
     e^-gamma (1 - log v) on (1, 2], so every integral has a 30-digit

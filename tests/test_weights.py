@@ -384,6 +384,13 @@ class TestGSum:
                     for zp in (100, 1000, 10_000)]
             assert errs[2] < errs[1] < errs[0]
 
+    def test_density_report_refuses_j_for_another_kappa(self, twin):
+        # j_3 in place of j_2 once gave the ratio 3.60 against 1.44
+        with pytest.raises(DomainError, match="J solved for kappa = 3 on"):
+            g_sum_report(twin, 10 ** 4, 100, solve_j(3, 2.0))
+        with pytest.raises(DomainError, match=r"on \[0, 1\] does not serve kappa = 2 up to u = 2"):
+            g_sum_report(twin, 10 ** 4, 100, solve_j(2, 1.0))
+
 
 class TestInstance:
     def test_negative_x_rejected(self, twin):
