@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DensityZero,
+    DomainError,
     GcdViolation,
     LimitTooLarge,
     ZeroDiscriminant,
@@ -34,6 +35,17 @@ TABLE_CAP = 200_000_000
 RHO_SCAN_CAP = 1_000_000
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _whole(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is a whole number, and
+    >= low when low is given.  10.0 and numpy integers pass; 1.5, nan and
+    inf are refused, never truncated."""
+    if not ((isinstance(value, int) or float(value).is_integer())
+            and (low is None or value >= low)):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} = {value} must be an integer{at_least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -165,7 +177,7 @@ def rho(L: LinearSystem, d: int) -> int:
     diagnostics, e.g. checking rho(p^2) bounds), and BudgetExceeded is
     raised before any scan when a part is above RHO_SCAN_CAP.
     """
-    d = int(d)
+    d = _whole("d", d)
     if d < 1:
         raise ValueError("modulus must be positive")
     parts = factorize(d)
@@ -181,6 +193,7 @@ def rho(L: LinearSystem, d: int) -> int:
 
 def roots_mod_squarefree(L: LinearSystem, d: int) -> list[int]:
     """All residues c mod squarefree d >= 1 with L(c) = 0 (mod d), via CRT."""
+    d = _whole("d", d)
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")
     roots, mod = [0], 1
@@ -231,6 +244,7 @@ def is_admissible(L: LinearSystem) -> AdmissibilityReport:
 def f_values(L: LinearSystem, d: int) -> tuple[Fraction, Fraction]:
     """Exact (f(d), f'(d)) for squarefree d >= 1: f(d) = d/rho(d),
     f'(d) = prod_{p|d} (f(p) - 1)."""
+    d = _whole("d", d)
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")
     if d == 1:
@@ -269,8 +283,10 @@ def H_sum(L: LinearSystem, s: float) -> tuple[float, float]:
 
     Returns (value, residual) where residual = value - kappa*log(s);
     the residual stays O(1) because rho(p) = kappa for all but finitely
-    many primes.
+    many primes.  DomainError unless s is positive and finite.
     """
+    if s <= 0:
+        raise DomainError(f"s = {s:g} must be > 0")
     value = math.fsum(_rho_prime(L, p) * math.log(p) / p for p in _primes_below(s))
     return value, value - L.kappa * math.log(s)
 
@@ -399,7 +415,10 @@ def _primes_upto_list(limit: int) -> tuple[int, ...]:
 
 
 def _primes_below(z: float) -> tuple[int, ...]:
-    """Primes strictly below z."""
+    """Primes strictly below z; DomainError when z is not finite, so every
+    prime cutoff is checked here."""
+    if not math.isfinite(z):
+        raise DomainError(f"cutoff z = {z} must be finite")
     if z <= 2:
         return ()
     hi = int(math.ceil(z)) - 1 if float(z).is_integer() else int(math.floor(z))

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delay_ode import EULER_GAMMA, MAX_KAPPA, JFunction, _integer_kappa
+from .arithmetic import _whole
+from .delay_ode import EULER_GAMMA, MAX_KAPPA, JFunction
 from .errors import InfeasibleB
 from .moments import MainIntegrals, SievePolynomial, canonical_u, main_integrals
 
@@ -54,7 +55,8 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
     exposed for sensitivity runs.  A slack only loosens its parameter, so
     each must be finite and >= 0; then U >= 1 + 2u/l > 1.  Raises
     InfeasibleB when b <= 0, which for zero slacks happens exactly when
-    r <= 2*kappa - 10/9."""
+    r <= 2*kappa - 10/9.  kappa and r must be whole numbers (ValueError)."""
+    kappa, r = _whole("kappa", kappa, 1), _whole("r", r)
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
     for name, slack in (("delta", delta), ("eps", eps)):
@@ -74,7 +76,7 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
         raise ValueError(f"alpha = {alpha:g} must be finite and > 1")
     if 1.0 / U >= 1.0 - 1.0 / alpha:
         raise ValueError("alpha too small: need 1/U < 1 - 1/alpha")
-    return SieveParameters(kappa, u, l, U, V, alpha, delta, eps, b, int(r))
+    return SieveParameters(kappa, u, l, U, V, alpha, delta, eps, b, r)
 
 
 def explicit_terms(kappa: int) -> tuple[float, float, float]:
@@ -92,6 +94,7 @@ def r_floor(kappa: int) -> int:
 def r_bound_explicit(kappa: int, slack: float = 0.0) -> int:
     """Smallest integer strictly above the displayed main terms plus
     slack*log(kappa), never below the floor r > 2*kappa - 10/9."""
+    kappa = _whole("kappa", kappa, 1)
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
     if not math.isfinite(slack):
@@ -160,7 +163,7 @@ def table(kappas, numeric: bool = True, slack: float = 0.0) -> list[BoundRow]:
     omitted (with a reason) above delay_ode.MAX_KAPPA, where the solver
     refuses."""
     rows = []
-    for kappa in sorted(set(map(_integer_kappa, kappas))):
+    for kappa in sorted({_whole("kappa", k, 1) for k in kappas}):
         t1, t2, t3 = explicit_terms(kappa)
         r_exp = r_bound_explicit(kappa, slack=slack)
         r_num = None

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
+from .arithmetic import _whole
 from .errors import OutOfRange, OutOfValidity, RangeOverflow, ToleranceNotMet
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -353,13 +354,6 @@ def _solve_interval(kappa, m, coeffs, g_left, n):
     return gc, kappa * tail
 
 
-def _integer_kappa(kappa) -> int:
-    """kappa as an int; ValueError unless it is a whole number >= 1."""
-    if not (float(kappa).is_integer() and kappa >= 1):
-        raise ValueError(f"kappa = {kappa} must be an integer >= 1")
-    return int(kappa)
-
-
 def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> JFunction:
     """Solve the delay ODE for j_kappa on [0, w_max] by method of steps.
 
@@ -368,7 +362,7 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> J
     estimate drops below tol relative to g, else ToleranceNotMet.  A kappa
     that is not a whole number is refused, not truncated.
     """
-    kappa = _integer_kappa(kappa)
+    kappa = _whole("kappa", kappa, 1)
     if kappa > MAX_KAPPA:
         raise RangeOverflow(f"kappa > {MAX_KAPPA}: scaled solution underflows")
     if not 1.0 <= w_max <= kappa + 2.0 + 1e-9:

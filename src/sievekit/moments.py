@@ -236,10 +236,15 @@ def canonical_u(kappa) -> float:
     return kappa - 1.0 / 9.0
 
 
-def _resolve_j(kappa, u, J):
-    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)]."""
+def _check_u(u):
+    """DomainError unless u is positive and finite."""
     if not 0.0 < u < math.inf:
         raise DomainError(f"u = {u:g} must be positive and finite")
+
+
+def _resolve_j(kappa, u, J):
+    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)]."""
+    _check_u(u)
     if J is None:
         return solve_j(kappa, max(u, 1.0))
     if J.kappa != kappa or J.w_max < u * (1.0 - 1e-12):
@@ -258,6 +263,7 @@ def _jprime_factory(kappa, u, source, J):
 
         return J.j_prime, nodes, u
     if source == "saddle":
+        _check_u(u)
         sp = SaddleParams(kappa, d=kappa - 1.0 / 3.0 - u)
         cutoff = min(u, kappa ** 0.6)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import LinearSystem, arithmetic_tables
+from .arithmetic import LinearSystem, _whole, arithmetic_tables
 from .errors import BudgetExceeded, Int64Overflow
 
 X_CAP = 100_000_000
@@ -140,10 +140,10 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     Deterministic regardless of segment size or thread count: segment
     results are integer counters merged by addition.  Raises
     BudgetExceeded when x > X_CAP and Int64Overflow when a*n or a*n + b
-    leaves the signed 64-bit range; ValueError when x < 0,
-    segment_size < 1 or threads < 1.
+    leaves the signed 64-bit range; ValueError when x is not a whole
+    number >= 0, segment_size < 1 or threads < 1.
     """
-    x = int(x)
+    x = _whole("x", x)
     if x < 0:
         raise ValueError("x must be >= 0")
     if segment_size < 1:

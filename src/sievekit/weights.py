@@ -29,14 +29,14 @@ as G_sum does, in S, E and the left side alike.  E counts |A_m| for the
 joint moduli m = [d, nu1, nu2] without factoring any m: the roots of each
 lcm [nu1, nu2] come by CRT from the lattice's primes, and one chunked
 numpy pass lifts them to every m = lcm * d, so its cost follows the
-number of roots, not x.  The left side still enumerates every n <= x,
-grouped by kernel, the primes below z that divide L(n), so it shares
-nothing with the lambda algebra.
+number of roots, not x.  The left side enumerates every n <= x, a chunk
+at a time: per-n sums of a_d and of lambda_nu come from strided adds over
+the residue classes n = c mod d of the roots c of L mod d, taken per
+modulus, so it shares nothing with the lambda algebra or the lift in E.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -316,8 +316,9 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
     and returns Fraction(S(N), D).  The work is pi(z') * |V| steps,
     O(pi(z') sqrt(r)); ``budget`` caps that count (BudgetExceeded) before
     anything is allocated.  rho(p) = p raises ZeroFactor; rho(p) = 0
-    gives the prime weight 0.
+    gives the prime weight 0.  DomainError when r is not finite.
     """
+    _require_finite(r=r)
     if r <= 1:
         raise SupportEmpty("r <= 1 leaves no support")
     primes = _primes_below(min(z_prime, r))
@@ -355,9 +356,10 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
 
 def g_sum_report(L: LinearSystem, r: float, z_prime: float, J) -> dict:
     """Compare G(r, z') with its sieve-density approximation j_kappa(tau) /
-    V(z'), tau = log r/log z', from J solved for L.kappa up to tau."""
+    V(z'), tau = log r/log z', from J solved for L.kappa up to tau.
+    DomainError unless z' > 1, as support_u requires."""
+    tau = support_u(r, z_prime)
     g = G_sum(L, r, z_prime)
-    tau = math.log(r) / math.log(z_prime)
     J = _resolve_j(L.kappa, tau, J)
     v = V_product(L, z_prime)
     approx = J.j(tau) / v
@@ -583,58 +585,31 @@ def _class_hits(L: LinearSystem, x: int, m, d, lcm_index, lcm_roots):
     return hits.tolist(), rho.tolist()
 
 
+# n per pass of weighted_sum_direct: a few MB of per-n sums in either mode.
+_SUM_CHUNK = 1 << 16
+
+
 def weighted_sum_direct(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):
-    """Left side by enumeration over every n <= x, exact or float as S is.
-    The a_d sum and the lambda sum depend on n only through its kernel,
-    the primes p < max(z, min(z', xi)) dividing L(n), so each runs once per
-    kernel, times its count, on the integers of _scaled in exact mode."""
+    """Left side by enumeration over n = 1..x, exact or float as S is, on
+    the integers of _scaled in exact mode: sum_n a_sum l_sum^2, a_sum
+    adding a_d on the classes n = c mod d of the roots c of L mod each
+    weighted d (d = 1 has the one class of 0), l_sum lambda_nu on those
+    mod each support element nu.  The roots come from roots_mod_squarefree,
+    not from the lattice's CRT roots that e_error lifts."""
     a, a_scale = _scaled(_richert_weights(W, S.exact), S.exact)
     lam, lam_scale = _scaled(S.lam, S.exact)
-    cut = min(S.z_prime, S.xi)
-    terms = []
-    for kernel, count in _kernels(inst.L, inst.x, _primes_below(max(W.z, cut))):
-        a_sum = a[1] + sum(a[p] for p in kernel if p in a)
-        l_sum = sum(lam[m] for m, _ in _products([p for p in kernel if p < cut], S.xi))
-        terms.append(count * a_sum * l_sum * l_sum)
-    return _total(S, terms, a_scale * lam_scale ** 2)
+    roots = {m: roots_mod_squarefree(inst.L, m) for m in {*a, *lam}}
 
+    def sums(lo, weights):
+        out = np.zeros(min(_SUM_CHUNK, inst.x - lo), dtype=object if S.exact else float)
+        for m, w in weights.items():
+            for c in roots[m]:
+                out[(c - lo - 1) % m::m] += w  # n = lo + 1 + i = c mod m
+        return out
 
-_KERNEL_BITS = 32
-
-
-def _kernels(L: LinearSystem, x: int, primes):
-    """Yield (kernel, count) for the distinct kernels of n = 1..x: the p in
-    ``primes`` (ascending) with n mod p a root of L mod p, that is
-    p | L(n), so L(n) = 0 has them all.  Each round ORs 32 primes into one
-    bit word per n and splits the groups of the n it hits by (group, word);
-    a new group is kept as the key parent << 32 | word, so memory stays
-    O(x) plus 8 bytes per group whatever the number of primes."""
-    group = np.zeros(x, dtype=np.uint64)
-    word = np.zeros(x, dtype=np.uint64)
-    bases, keys = [], []  # per round; group 0 is the empty kernel
-    n_groups = 1
-    for start in range(0, len(primes), _KERNEL_BITS):
-        word[:] = 0
-        for bit, p in enumerate(primes[start:start + _KERNEL_BITS]):
-            for r in _roots_mod_prime(L, p):
-                word[(r - 1) % p::p] |= np.uint64(1 << bit)
-        hit = np.flatnonzero(word)
-        new, inv = np.unique(group[hit] << np.uint64(_KERNEL_BITS) | word[hit],
-                             return_inverse=True)
-        group[hit] = n_groups + inv
-        bases.append(n_groups)
-        keys.append(new)
-        n_groups += len(new)
-    ids, counts = np.unique(group, return_counts=True)
-    for g, count in zip(ids.tolist(), counts.tolist()):
-        kernel = []
-        while g:
-            r = bisect.bisect_right(bases, g) - 1
-            key = int(keys[r][g - bases[r]])
-            w, base = key & ((1 << _KERNEL_BITS) - 1), r * _KERNEL_BITS
-            kernel += [primes[base + bit] for bit in range(w.bit_length()) if w >> bit & 1]
-            g = key >> _KERNEL_BITS
-        yield tuple(sorted(kernel)), count
+    terms = ((sums(lo, a) * sums(lo, lam) ** 2).tolist()
+             for lo in range(0, inst.x, _SUM_CHUNK))
+    return _total(S, itertools.chain.from_iterable(terms), a_scale * lam_scale ** 2)
 
 
 def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem) -> Decomposition:

@@ -28,6 +28,7 @@ from sievekit.arithmetic import (
 )
 from sievekit.errors import (
     BudgetExceeded,
+    DomainError,
     GcdViolation,
     LimitTooLarge,
     ZeroDiscriminant,
@@ -201,6 +202,13 @@ class TestFValues:
             with pytest.raises(ValueError, match=f"^d = {d} must be >= 1$"):
                 fn(twin, d)
 
+    @pytest.mark.parametrize("fn", [rho, f_values, roots_mod_squarefree])
+    def test_fractional_modulus_refused(self, twin, fn):
+        # d = 1.5 was truncated to 1: rho gave 1, f_values (1, 1), the roots [0]
+        with pytest.raises(ValueError, match=r"^d = 1.5 must be an integer$"):
+            fn(twin, 1.5)
+        assert fn(twin, 15.0) == fn(twin, np.int64(15)) == fn(twin, 15)
+
     def test_roundtrip_f_times_rho(self, twin):
         for d in (2, 3, 5, 6, 15, 30, 105):
             f, _ = f_values(twin, d)
@@ -223,6 +231,11 @@ class TestVProduct:
         with pytest.raises(ZeroFactor):
             V_product(L, 5)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_cutoff_refused(self, twin, z):
+        with pytest.raises(DomainError, match=f"^cutoff z = {z} must be finite$"):
+            V_product(twin, z)
+
     def test_log_power_bound(self):
         # calibrated once: max of 1/(V log^k z) stays below 3 on the grid
         for offs in ([0], [0, 2], [0, 2, 6]):
@@ -241,6 +254,17 @@ class TestHSum:
 
     def test_empty(self, tuple_n):
         assert H_sum(tuple_n, 2) == (0.0, pytest.approx(-math.log(2)))
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_cutoff_refused(self, twin, s):
+        with pytest.raises(DomainError, match=f"^cutoff z = {s} must be finite$"):
+            H_sum(twin, s)
+
+    @pytest.mark.parametrize("s", [0, -1.0])
+    def test_log_s_needs_positive_s(self, twin, s):
+        # H_sum(L, 0) raised "math domain error" from log(0)
+        with pytest.raises(DomainError, match=f"^s = {s:g} must be > 0$"):
+            H_sum(twin, s)
 
     def test_twin_residual_bounded(self, twin):
         val, res = H_sum(twin, 1000)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sievekit.bounds import (
@@ -46,6 +47,13 @@ class TestChooseParams:
             assert p.r > 2 * kappa - 10.0 / 9.0
             assert 1.0 / p.U < 1.0 - 1.0 / p.alpha
 
+    @pytest.mark.parametrize("name,kappa,r", [("kappa", 2.5, 10), ("r", 10, 39.5)])
+    def test_fractional_arguments_refused(self, name, kappa, r):
+        # choose_params(2.5, 10) once returned parameters for kappa = 2.5
+        with pytest.raises(ValueError, match=rf"^{name} = \d+\.5 must be an integer"):
+            choose_params(kappa, r)
+        assert choose_params(10.0, np.int64(40)) == choose_params(10, 40)
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, math.nan, math.inf])
     def test_alpha_must_be_finite_above_one(self, alpha):
         with pytest.raises(ValueError, match="must be finite and > 1"):
@@ -88,6 +96,12 @@ class TestExplicit:
 
     def test_slack_shifts(self):
         assert r_bound_explicit(100, slack=5.0) >= r_bound_explicit(100)
+
+    def test_fractional_kappa_refused(self):
+        # r_bound_explicit(2.5) once gave 9
+        with pytest.raises(ValueError, match="^kappa = 2.5 must be an integer >= 1$"):
+            r_bound_explicit(2.5)
+        assert r_bound_explicit(100.0) == r_bound_explicit(np.int64(100)) == 502
 
     @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
     def test_slack_must_be_finite(self, slack):

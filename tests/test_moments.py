@@ -260,6 +260,14 @@ class TestResolveJ:
         with pytest.raises(DomainError):
             self.CALLS[name](None, u)
 
+    @pytest.mark.parametrize("moment", [moment_J1, moment_J2])
+    @pytest.mark.parametrize("u", [-1.0, 0.0, math.nan, math.inf])
+    def test_saddle_u_must_be_finite_and_positive(self, moment, u):
+        # the saddle source raised an untyped OverflowError at u = inf and
+        # ValueError at u = nan or -1
+        with pytest.raises(DomainError, match=f"^u = {u:g} must be positive and finite$"):
+            moment(10, u=u, source="saddle")
+
     def test_u_refused_before_solving(self):
         with pytest.raises(DomainError, match="^u = -1 must be positive and finite$"):
             moment_J1(10, u=-1.0)

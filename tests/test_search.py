@@ -239,6 +239,12 @@ class TestCounts:
         assert count_at_most(tuple_n, 100, 0) == 1   # only n = 1
         assert count_at_most(twin, 100, 0) == 0
 
+    def test_fractional_x_refused(self, twin):
+        # omega_profile(L, 1.5) counted only n <= 1
+        with pytest.raises(ValueError, match=r"^x = 1.5 must be an integer$"):
+            omega_profile(twin, 1.5)
+        assert omega_profile(twin, 300.0) == omega_profile(twin, np.int64(300))
+
     @pytest.mark.parametrize("count", [count_at_most, density_report])
     def test_negative_r_raises_before_sieving(self, twin, count):
         # x above X_CAP would raise BudgetExceeded once sieving started

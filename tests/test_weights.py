@@ -376,6 +376,21 @@ class TestGSum:
         with pytest.raises(BudgetExceeded):
             G_sum(twin, 10 ** 7, 10 ** 4, budget=1000)
 
+    @pytest.mark.parametrize("r,zp,message", [
+        (100, math.nan, "cutoff z = nan"), (math.nan, 10, "r = nan"), (math.inf, 10, "r = inf")])
+    def test_non_finite_cutoff_refused(self, twin, r, zp, message):
+        # these failed inside math.floor or math.ceil with untyped errors;
+        # z' = inf stays the unrestricted sum over m < r
+        with pytest.raises(DomainError, match=f"^{message} must be finite$"):
+            G_sum(twin, r, zp)
+        assert G_sum(twin, 100, math.inf) == G_sum(twin, 100, 100)
+
+    @pytest.mark.parametrize("zp", [1, 0.5])
+    def test_density_report_needs_z_prime_above_one(self, twin, zp):
+        # z' = 1 raised ZeroDivisionError from log z'
+        with pytest.raises(DomainError, match=f"^z' = {zp:g} must be > 1$"):
+            g_sum_report(twin, 100, zp, None)
+
     def test_density_approximation_trend(self, tuple_n, twin):
         # |G V / j(tau) - 1| decreasing in z' at fixed tau = 2
         for L in (tuple_n, twin):
@@ -444,8 +459,8 @@ def richert_list(W, exact):
 
 def weighted_sum_oracle(inst, W, S):
     """Left side by testing |L(n)| % d for every n <= x, every weighted
-    prime and every support element: the reference for the kernel
-    grouping."""
+    prime and every support element: the reference for the sums over
+    residue classes."""
     (_, b), *primes_z = richert_list(W, S.exact)
     terms = []
     for n in range(1, inst.x + 1):
@@ -481,11 +496,11 @@ def e_error_oracle(inst, W, S):
     return sum(terms, Fraction(0)) if S.exact else math.fsum(terms)
 
 
-# ORACLE_FORMS plus kernel edge cases: L(7) = 0, and values below zero for
-# n < 1000 with L(1000) = 0 and 7 | a
+# ORACLE_FORMS plus edge cases: L(7) = 0, where n is in a root class of
+# every modulus, and values below zero for n < 1000 with L(1000) = 0 and 7 | a
 IDENTITY_FORMS = ORACLE_FORMS + [[[1, -7]], [[1, -1000], [7, 4]]]
 # (x, z, z', xi): x = 1, z' = 2 (support {1}), xi = z', xi < z', xi > z',
-# and 46 primes below z, more than one 32-prime word of kernel bits
+# and 46 primes below z
 IDENTITY_GRID = [(1, 10, 5, 20), (600, 2.5, 2, 30), (500, 13, 13, 13),
                  (400, 30, 30, 12), (300, 20, 10, 40), (1000, 30, 30, 200),
                  (500, 200, 20, 40)]
@@ -562,6 +577,31 @@ class TestJointModulusLift:
         huge = dataclasses.replace(S, support=(1, big), lam={1: S.lam[1], big: S.lam[1]})
         with pytest.raises(BudgetExceeded, match=r"^joint modulus above 2\^63$"):
             e_error(SieveInstance(twin, 100), W, huge)
+
+
+class TestResidueClassSums:
+    def test_traced_peak_below_4_mb(self, twin):
+        # x = 10^6 is 16 chunks of n; one pass over all n peaked at 68 MB.
+        # Float mode: tracing every Python int of exact mode is 20x slower
+        W = RichertWeights(b=3.0, y=3.0, z=50.0)
+        S = build_lambda_system(twin, 300, 50, exact=False)
+        inst = SieveInstance(twin, 10 ** 6)
+        tracemalloc.start()
+        try:
+            weighted_sum_direct(inst, W, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_many_primes(self, twin):
+        # 168 primes below z, against 46 in IDENTITY_GRID
+        W = RichertWeights(b=3.0, y=3.0, z=1000.0)
+        inst = SieveInstance(twin, 5000)
+        dec = decompose(inst, W, build_lambda_system(twin, 100, 30))
+        assert dec.residual == 0
+        flt = weighted_sum_direct(inst, W, build_lambda_system(twin, 100, 30, exact=False))
+        assert abs(flt - dec.lhs) <= 1e-12 * abs(dec.lhs)
 
 
 class TestDecompose:
@@ -688,6 +728,11 @@ class TestErrorBound:
     def test_xi_one(self, tuple_n):
         v = V_product(tuple_n, 10)
         assert error_bound_analytic(tuple_n, 10, 1) == pytest.approx(10 / v ** 7)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_cutoff_refused(self, tuple_n, z):
+        with pytest.raises(DomainError, match=f"^cutoff z = {z} must be finite$"):
+            error_bound_analytic(tuple_n, z, 10)
 
     def test_dominates_exact_error(self, tuple_n):
         W = RichertWeights(b=3.0, y=3.0, z=10.0)
