@@ -71,18 +71,12 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Result of the rho(p) < p check.
-
-    ``admissible`` covers the primes p <= kappa required by the sieve
-    hypothesis.  ``extended_ok`` additionally covers every prime dividing
-    the discriminant; since rho(p) <= kappa < p for p > kappa this extra
-    check can never fail, but it is reported separately.
-    """
+    """Result of the rho(p) < p check over the primes p <= kappa required
+    by the sieve hypothesis; for p > kappa, rho(p) <= kappa < p holds
+    always, so no other prime needs checking."""
 
     admissible: bool
     failing_prime: int | None
-    extended_ok: bool
-    extended_failing_prime: int | None
     checked_primes: tuple[int, ...]
 
 
@@ -213,32 +207,11 @@ def _crt(ra, a: int, rb, b: int) -> list[int]:
 
 
 def is_admissible(L: LinearSystem) -> AdmissibilityReport:
-    """Check rho(p) < p for all primes p <= kappa (sieve hypothesis).
-
-    Primes dividing the discriminant are checked as well and reported
-    separately; for p > kappa the bound rho(p) <= kappa < p makes that
-    part automatic.
-    """
-    failing = None
-    small = [p for p in _primes_upto_list(max(L.kappa, 2)) if p <= L.kappa]
-    for p in small:
-        if _rho_prime(L, p) >= p:
-            failing = p
-            break
-    ext_failing = None
-    delta_primes = sorted({p for p, _ in factorize(abs(L.delta))})
-    for p in delta_primes:
-        if _rho_prime(L, p) >= p:
-            ext_failing = p
-            break
-    checked = tuple(sorted(set(small) | set(delta_primes)))
-    return AdmissibilityReport(
-        admissible=failing is None,
-        failing_prime=failing,
-        extended_ok=ext_failing is None,
-        extended_failing_prime=ext_failing,
-        checked_primes=checked,
-    )
+    """Check rho(p) < p for all primes p <= kappa (sieve hypothesis)."""
+    small = tuple(p for p in _primes_upto_list(max(L.kappa, 2)) if p <= L.kappa)
+    failing = next((p for p in small if _rho_prime(L, p) >= p), None)
+    return AdmissibilityReport(admissible=failing is None, failing_prime=failing,
+                               checked_primes=small)
 
 
 def f_values(L: LinearSystem, d: int) -> tuple[Fraction, Fraction]:

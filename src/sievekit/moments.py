@@ -25,9 +25,9 @@ v = u - w in [m, m+1] of the delay-ODE solver, on which j' is analytic,
 so fixed-order Gauss-Legendre reaches machine precision there: the
 routine takes j' at the nodes of all these pieces from one table cached
 on the solution, and checks each piece against half as many nodes.  The
-piece at w = 0, which holds the log singularity, a whole piece that
-starts below w = 1/2, near it, and a piece cut short by the upper limit
-go to QUADPACK (QAWS with log w as its weight on the first piece).
+two other piece kinds go to QUADPACK: the piece at w = 0, which holds the
+log singularity (QAWS with log w as its weight), and a whole piece that
+starts below w = 1/2, near it.
 Accuracy is fixed by the module constants _ATOL and _EPSREL: each piece
 must meet max(its share of _ATOL, _EPSREL * |value|).
 The O-term constants are not specified by the source asymptotics; the
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.special as sc
 from scipy import integrate
 
-from .delay_ode import JFunction, SaddleParams, gauss_legendre, saddle_j_prime, solve_j
+from .delay_ode import JFunction, gauss_legendre, solve_j
 from .errors import DomainError, PoleError, QuadratureFailure
 
 RANGE_GRID = 4001
@@ -147,53 +147,51 @@ def _quad(f, a, b, epsabs, **weight):
     return val
 
 
-def _node_sums(nodes, rows, u, coef, log, n):
+def _node_sums(J, rows, u, coef, log, n):
     """n-node Gauss-Legendre value of each piece v = u - w in [m, m+1],
-    m in ``rows``, of int c(w) (log w if ``log``) j'(u - w) dw."""
+    m < ``rows``, of int c(w) (log w if ``log``) j'(u - w) dw."""
     t, weights = gauss_legendre(n)
-    w = np.subtract(u, np.asarray(rows)[:, None] + t)
+    w = np.subtract(u, np.arange(rows)[:, None] + t)
     f = np.polynomial.polynomial.polyval(w, coef)
-    f *= nodes(rows, n)
+    f *= J.j_prime_nodes(n)[:rows]
     if log:
         f *= np.log(w)
     return f @ weights
 
 
-def _integral(jp, nodes, u, upper, coef, *, log=False):
-    """int_0^upper c(w) (log w if ``log``) j'(u - w) dw, with c given by its
-    ascending monomial coefficients ``coef``.  ``jp(v)`` is j' at one
-    point, and ``nodes(rows, n)`` is j' at the n Gauss-Legendre nodes of
-    the unit intervals v in [m, m+1], one row per m in ``rows``.
+def _integral(J, u, coef, *, log=False):
+    """int_0^u c(w) (log w if ``log``) j'(u - w) dw, with c given by its
+    ascending monomial coefficients ``coef`` and j' that of the solved
+    ``J``: ``J.j_prime`` at one point, ``J.j_prime_nodes`` on whole pieces.
 
     The range is split at the knots u - m where j' loses smoothness.  A
     whole piece w in [u-m-1, u-m] that starts at w >= 1/2, clear of the
     log singularity, is the interval v in [m, m+1] and takes GL_NODES
     nodes; it fails with QuadratureFailure unless half as many nodes agree
     within QUADPACK's own rule, max(its share of _ATOL, _EPSREL * |value|).
-    The other pieces go to QUADPACK with the same tolerances, so _ATOL and
-    _EPSREL alone fix the accuracy: with ``log`` the first piece takes
-    log(w) as the weight of its endpoint-singularity rule (QAWS), so the
-    integrand it samples stays smooth at w = 0; the others multiply by
-    log(w)."""
-    knots = range(math.ceil(u))
-    pts = [0.0] + sorted(u - m for m in knots if u - m < upper) + [upper]
-    per = _ATOL / (len(pts) - 1)
-    rows = [m for m in knots if u - m <= upper and u - (m + 1) >= 0.5]
-    pieces = list(zip(pts, pts[1:]))
+    The other pieces, w in [0, u - rows], go to QUADPACK with the same
+    tolerances, so _ATOL and _EPSREL alone fix the accuracy: with ``log``
+    the first piece takes log(w) as the weight of its endpoint-singularity
+    rule (QAWS), so the integrand it samples stays smooth at w = 0; the
+    others multiply by log(w)."""
+    top = math.ceil(u)
+    per = _ATOL / top
+    # the pieces v in [m, m+1], m < rows, start at w = u - m - 1 >= 1/2
+    rows = max(0, math.floor(u - 0.5))
     parts = []
     if rows:
-        fine, coarse = (_node_sums(nodes, rows, u, coef, log, n)
+        fine, coarse = (_node_sums(J, rows, u, coef, log, n)
                         for n in (GL_NODES, GL_NODES // 2))
         err = np.abs(fine - coarse)
-        for m, e, value in zip(rows, err, fine):
+        for m, e, value in zip(range(rows), err, fine):
             if e > max(per, _EPSREL * abs(value)):
                 raise QuadratureFailure(
                     f"Gauss-Legendre on [{u - (m + 1)},{u - m}]: {GL_NODES} and "
                     f"{GL_NODES // 2} nodes differ by {e:.3g}")
         parts = fine.tolist()
-        lo, hi = u - (rows[-1] + 1), u - rows[0]
-        pieces = [(a, b) for a, b in pieces if b <= lo or a >= hi]
+    pts = [0.0] + [u - m for m in range(top - 1, rows - 1, -1)]
     rev = [float(a) for a in reversed(coef)]
+    jp = J.j_prime
 
     def f(w):
         c = 0.0
@@ -204,7 +202,7 @@ def _integral(jp, nodes, u, upper, coef, *, log=False):
     def f_log(w):
         return math.log(w) * f(w)
 
-    (a, b), *rest = pieces
+    (a, b), *rest = zip(pts, pts[1:])
     log_weight = {"weight": "alg-loga", "wvar": (0, 0)} if log else {}
     parts.append(_quad(f, a, b, per, **log_weight))
     parts += [_quad(f_log if log else f, a, b, per) for a, b in rest]
@@ -224,7 +222,7 @@ class MomentReport:
     u: float
     i: int
     quantity: str
-    source: str
+    source: str  # always "dde", the solved j_kappa
     value: float
     asymptotic: float | None
     diff: float | None
@@ -236,15 +234,11 @@ def canonical_u(kappa) -> float:
     return kappa - 1.0 / 9.0
 
 
-def _check_u(u):
-    """DomainError unless u is positive and finite."""
+def _resolve_j(kappa, u, J):
+    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)];
+    DomainError unless u is positive and finite."""
     if not 0.0 < u < math.inf:
         raise DomainError(f"u = {u:g} must be positive and finite")
-
-
-def _resolve_j(kappa, u, J):
-    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)]."""
-    _check_u(u)
     if J is None:
         return solve_j(kappa, max(u, 1.0))
     if J.kappa != kappa or J.w_max < u * (1.0 - 1e-12):
@@ -253,49 +247,23 @@ def _resolve_j(kappa, u, J):
     return J
 
 
-def _jprime_factory(kappa, u, source, J):
-    """(j' at one point, j' at the nodes of unit intervals, upper limit)."""
-    if source == "dde":
-        J = _resolve_j(kappa, u, J)
-
-        def nodes(rows, n):
-            return J.j_prime_nodes(n)[rows[0]:rows[-1] + 1]
-
-        return J.j_prime, nodes, u
-    if source == "saddle":
-        _check_u(u)
-        sp = SaddleParams(kappa, d=kappa - 1.0 / 3.0 - u)
-        cutoff = min(u, kappa ** 0.6)
-
-        def jp(v):
-            # argument is u - w; map back to the saddle variable w
-            return saddle_j_prime(sp, u - v)[0]
-
-        def nodes(rows, n):
-            t, _ = gauss_legendre(n)
-            return np.array([[jp(m + tk) for tk in t.tolist()] for m in rows])
-
-        return jp, nodes, cutoff
-    raise ValueError("source must be 'dde' or 'saddle'")
-
-
-def _moment(kappa, u, i, source, J, log, comparator) -> MomentReport:
+def _moment(kappa, u, i, J, log, comparator) -> MomentReport:
     """Report of int_0^u w^i (log w if ``log``) j'(u-w) dw, u canonical when
     None; only there does ``comparator()`` supply (asymptotic, envelope)."""
     if u is None:
         u = canonical_u(kappa)
-    jp, nodes, upper = _jprime_factory(kappa, u, source, J)
-    value = _integral(jp, nodes, u, upper, [0.0] * i + [1.0], log=log)
+    J = _resolve_j(kappa, u, J)
+    value = _integral(J, u, [0.0] * i + [1.0], log=log)
     asym = env = diff = None
     if comparator and abs(u - canonical_u(kappa)) < 1e-9:
         asym, env = comparator()
         diff = value - asym
     name = f"J{2 if log else 1}({i})"
-    return MomentReport(kappa, u, i, name, source, value, asym, diff, env)
+    return MomentReport(kappa, u, i, name, "dde", value, asym, diff, env)
 
 
 def moment_J1(kappa: int, u: float | None = None, i: int = 0,
-              source: str = "dde", J: JFunction | None = None) -> MomentReport:
+              J: JFunction | None = None) -> MomentReport:
     """J1(i) = int_0^u w^i j'(u-w) dw, with Lemma-style comparator at the
     canonical u = kappa - 1/9 (i in {0, 1})."""
     if i not in (0, 1):
@@ -306,11 +274,11 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
             return 0.5, 2.0 / kappa
         return 0.5 * math.sqrt(kappa / math.pi) - 1.0 / 18.0, 2.0 / math.sqrt(kappa)
 
-    return _moment(kappa, u, i, source, J, log=False, comparator=comparator)
+    return _moment(kappa, u, i, J, log=False, comparator=comparator)
 
 
 def moment_J2(kappa: int, u: float | None = None, i: int = 0,
-              source: str = "dde", J: JFunction | None = None) -> MomentReport:
+              J: JFunction | None = None) -> MomentReport:
     """J2(i) = int_0^u w^i log(w) j'(u-w) dw; the integrable log
     singularity at w = 0 goes to a log-weighted quadrature rule."""
     if i < 0:
@@ -322,7 +290,7 @@ def moment_J2(kappa: int, u: float | None = None, i: int = 0,
                 5.0 * math.log(kappa) / kappa)
 
     # at kappa = 1 the envelope 5 log(kappa)/kappa is 0: no comparator
-    return _moment(kappa, u, i, source, J, log=True,
+    return _moment(kappa, u, i, J, log=True,
                    comparator=comparator if i == 0 and kappa > 1 else None)
 
 
@@ -412,16 +380,16 @@ def main_integrals(kappa: int, u: float, l: float, P: SievePolynomial,
         raise DomainError(f"need u <= l < inf, got u = {u:g}, l = {l:g}")
     if P.u < u * (1.0 - 1e-12):
         raise DomainError("P not defined up to u")
-    jp, nodes, _ = _jprime_factory(kappa, u, "dde", J)
+    J = _resolve_j(kappa, u, J)
     poly = np.polynomial.polynomial
     p2 = poly.polymul(P.coef, P.coef)
 
-    i1 = _integral(jp, nodes, u, u, p2)
+    i1 = _integral(J, u, p2)
     inner = _inner_i2_coeffs(np.asarray(P.coef, dtype=float), l)
-    i2 = _integral(jp, nodes, u, u, inner) if np.any(inner != 0.0) else 0.0
+    i2 = _integral(J, u, inner) if np.any(inner != 0.0) else 0.0
     # log(l/w) - 1 + w/l = (log l - 1 + w/l) - log w
-    smooth = _integral(jp, nodes, u, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]))
-    singular = _integral(jp, nodes, u, u, p2, log=True)
+    smooth = _integral(J, u, poly.polymul(p2, [math.log(l) - 1.0, 1.0 / l]))
+    singular = _integral(J, u, p2, log=True)
     return MainIntegrals(i1, i2, smooth - singular)
 
 

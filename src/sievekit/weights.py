@@ -51,6 +51,7 @@ from .arithmetic import (
     _primes_below,
     _roots_mod_prime,
     _rho_prime,
+    _whole,
     f_values,
     is_prime,
     roots_mod_squarefree,
@@ -379,6 +380,7 @@ class SieveInstance:
     x: int
 
     def __post_init__(self):
+        object.__setattr__(self, "x", _whole("x", self.x))
         if self.x < 0:
             raise DomainError(f"x = {self.x} must be >= 0")
 
@@ -635,5 +637,6 @@ def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem) -> Decomp
 
 def error_bound_analytic(L: LinearSystem, z: float, xi: float) -> float:
     """Crude analytic envelope z * xi^2 / V(z)^7 for the remainder term."""
+    _require_finite(xi=xi)
     v = V_product(L, z)
     return z * xi * xi / v ** 7

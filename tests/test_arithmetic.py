@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -173,7 +174,17 @@ class TestAdmissibility:
     def test_admissible_triple(self):
         rep = is_admissible(from_offsets([0, 2, 6]))
         assert rep.admissible
-        assert rep.extended_ok
+        assert rep.failing_prime is None
+        assert rep.checked_primes == (2, 3)
+
+    def test_large_discriminant_not_factored(self):
+        # the discriminant holds the primes p ~ 1e16 and q ~ 3e16; only the
+        # primes <= kappa = 3 are checked, and the check fails at 2
+        p, q = (next(filter(is_prime, itertools.count(lo))) for lo in (10**16, 3 * 10**16))
+        rep = is_admissible(from_offsets([0, 1, 2 * p * q]))
+        assert not rep.admissible
+        assert rep.failing_prime == 2
+        assert rep.checked_primes == (2, 3)
 
     def test_single_form(self):
         rep = is_admissible(from_offsets([0]))

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from sievekit.bounds import r_bound_numeric
-from sievekit.delay_ode import EULER_GAMMA, SaddleParams, gauss_legendre, saddle_j_prime, solve_j
+from sievekit.delay_ode import EULER_GAMMA, gauss_legendre, solve_j
 from sievekit.errors import DomainError, PoleError, QuadratureFailure
 from sievekit.moments import (
     SievePolynomial,
@@ -133,14 +133,6 @@ class TestMomentJ1:
             rep = moment_J1(k, i=1, J=jfun(k))
             assert math.sqrt(k) * abs(rep.diff) <= 2.0
 
-    def test_saddle_source_close_to_dde(self, jfun):
-        # saddle source integrates only over [0, kappa^(3/5)]; the missing
-        # tail mass is ~ erfc(kappa^(1/10)) ~ 0.02 at kappa = 40
-        a = moment_J1(40, J=jfun(40)).value
-        b = moment_J1(40, source="saddle").value
-        assert a == pytest.approx(b, abs=0.05)
-        assert b < a
-
 
 class TestMomentJ2:
     def test_k1_closed_form(self):
@@ -260,14 +252,6 @@ class TestResolveJ:
         with pytest.raises(DomainError):
             self.CALLS[name](None, u)
 
-    @pytest.mark.parametrize("moment", [moment_J1, moment_J2])
-    @pytest.mark.parametrize("u", [-1.0, 0.0, math.nan, math.inf])
-    def test_saddle_u_must_be_finite_and_positive(self, moment, u):
-        # the saddle source raised an untyped OverflowError at u = inf and
-        # ValueError at u = nan or -1
-        with pytest.raises(DomainError, match=f"^u = {u:g} must be positive and finite$"):
-            moment(10, u=u, source="saddle")
-
     def test_u_refused_before_solving(self):
         with pytest.raises(DomainError, match="^u = -1 must be positive and finite$"):
             moment_J1(10, u=-1.0)
@@ -358,37 +342,40 @@ class TestKappa3Reference:
             assert value == pytest.approx(float(self.REF["values"][key]), abs=2e-15), key
 
 
-def frac_power_source(power):
-    """j'(v) = (v - floor v)^power at one point and on the node table."""
-    def jp(v):
-        return abs(v - math.floor(v)) ** power
+class StubJ:
+    """A stand-in for JFunction: j'(v) = h(v - floor v) at one point and on
+    the node table, ``rows`` unit intervals of it."""
 
-    def nodes(rows, n):
+    def __init__(self, h, rows):
+        self.h, self.rows = h, rows
+
+    def j_prime(self, v):
+        return float(self.h(v - math.floor(v)))
+
+    def j_prime_nodes(self, n):
         t, _ = gauss_legendre(n)
-        return np.tile(np.abs(t) ** power, (len(rows), 1))
-
-    return jp, nodes
+        return np.tile(self.h(t), (self.rows, 1))
 
 
 class TestNodeQuadrature:
     def test_pieces_cover_the_range_once(self):
         # u = 3.5: v in [0,1], [1,2], [2,3] on the nodes, [3, 3.5] on QUADPACK
-        jp, nodes = frac_power_source(2)
-        assert _integral(jp, nodes, 3.5, 3.5, [1.0]) == pytest.approx(
-            1.0 + 0.5 ** 3 / 3.0, abs=1e-14)
+        J = StubJ(lambda t: np.abs(t) ** 2, rows=4)
+        assert _integral(J, 3.5, [1.0]) == pytest.approx(1.0 + 0.5 ** 3 / 3.0, abs=1e-14)
+
+    @pytest.mark.parametrize("u", [0.4, 1.0, 1.5, 2.0, 2.49, 7.75])
+    def test_pieces_cover_any_range(self, u):
+        # whole, half and short top pieces: int_0^u frac(v)^2 dv
+        J = StubJ(lambda t: np.abs(t) ** 2, rows=math.ceil(u))
+        whole, frac = divmod(u, 1.0)
+        assert _integral(J, u, [1.0]) == pytest.approx((whole + frac ** 3) / 3.0, abs=1e-14)
 
     def test_doubling_check_raises(self):
         # a kink inside every unit interval: Gauss-Legendre converges only
         # algebraically there, and 32 nodes miss the 64-node value
-        def jp(v):
-            return abs(v - math.floor(v) - 1.0 / 3.0)
-
-        def nodes(rows, n):
-            t, _ = gauss_legendre(n)
-            return np.tile(np.abs(t - 1.0 / 3.0), (len(rows), 1))
-
+        J = StubJ(lambda t: np.abs(t - 1.0 / 3.0), rows=4)
         with pytest.raises(QuadratureFailure, match="64 and 32 nodes differ by"):
-            _integral(jp, nodes, 3.5, 3.5, [1.0])
+            _integral(J, 3.5, [1.0])
 
     def test_one_quad_call_per_integral(self, jfun, monkeypatch):
         calls = []
@@ -414,17 +401,3 @@ class TestNodeQuadrature:
         J = jfun(kappa)
         value = moment_J1(kappa, J=J).value
         assert abs(value - J.j(kappa - 1.0 / 9.0)) <= 1e-14 + 4e-16 * kappa * math.log(kappa)
-
-    def test_saddle_matches_direct_quadpack(self):
-        k = 40
-        u = k - 1.0 / 9.0
-        sp = SaddleParams(k, d=k - 1.0 / 3.0 - u)
-        cutoff = k ** 0.6
-        for i, log in ((0, False), (1, False), (0, True)):
-            def f(w):
-                return w ** i * saddle_j_prime(sp, w)[0]
-            weight = {"weight": "alg-loga", "wvar": (0, 0)} if log else {}
-            direct, _ = integrate.quad(f, 0.0, cutoff, epsabs=1e-14, epsrel=1e-12, limit=200,
-                                       **weight)
-            moment = moment_J2 if log else moment_J1
-            assert moment(k, i=i, source="saddle").value == pytest.approx(direct, abs=1e-13)

@@ -413,6 +413,18 @@ class TestInstance:
             SieveInstance(twin, -5)
         assert SieveInstance(twin, 0).count_multiples(3) == 0
 
+    @pytest.mark.parametrize("x", [100.5, math.nan, math.inf])
+    def test_fractional_x_refused(self, twin, x):
+        # 100.5 counted 67.0 multiples of 3, and its remainder raised an
+        # untyped TypeError
+        with pytest.raises(ValueError, match=f"^x = {x} must be an integer$"):
+            SieveInstance(twin, x)
+
+    def test_whole_float_x_is_an_int(self, twin):
+        inst = SieveInstance(twin, 100.0)
+        assert inst == SieveInstance(twin, 100) and type(inst.x) is int
+        assert inst.count_multiples(3) == 67 and inst.remainder(3) == Fraction(1, 3)
+
     def test_counts_by_residue_match_scan(self, twin):
         inst = SieveInstance(twin, 200)
         for d in (1, 2, 3, 5, 6, 15, 21, 35):
@@ -733,6 +745,11 @@ class TestErrorBound:
     def test_non_finite_cutoff_refused(self, tuple_n, z):
         with pytest.raises(DomainError, match=f"^cutoff z = {z} must be finite$"):
             error_bound_analytic(tuple_n, z, 10)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf])
+    def test_non_finite_xi_refused(self, tuple_n, xi):
+        with pytest.raises(DomainError, match=f"^xi = {xi} must be finite$"):
+            error_bound_analytic(tuple_n, 10, xi)
 
     def test_dominates_exact_error(self, tuple_n):
         W = RichertWeights(b=3.0, y=3.0, z=10.0)
