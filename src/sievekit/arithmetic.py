@@ -39,10 +39,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _whole(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; ValueError unless it is a whole number, and
-    >= low when low is given.  10.0 and numpy integers pass; 1.5, nan and
-    inf are refused, never truncated."""
-    if not ((isinstance(value, int) or float(value).is_integer())
-            and (low is None or value >= low)):
+    >= low when low is given.  10.0 and numpy integers pass; 1.5, nan,
+    inf and bools are refused, never truncated or read as 0 and 1."""
+    if (isinstance(value, (bool, np.bool_))
+            or not ((isinstance(value, int) or float(value).is_integer())
+                    and (low is None or value >= low))):
         at_least = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} = {value} must be an integer{at_least}")
     return int(value)

@@ -14,7 +14,12 @@ Each system enumerates its support once into a SupportLattice of integer
 tables, mu, rho and phi = prod (p - rho(p)) from one rho(p) per prime, so
 f = m/rho and f' = phi/rho.  The support is divisor-closed, so both
 directions are superset sums: one pass of acc[m/p] += acc[m] per prime p
-over the m it divides, O(|S| omega) additions in all.
+over the m it divides, O(|S| omega) additions in all.  The classical
+zeta = 1 makes lambda a function of (L, support, mode) alone, and a sweep
+over (z', xi) meets each support in runs of xi, so build_lambda_system
+keeps the last classical lattice and lambda (an lru_cache of size one:
+one extra system at most) and hands each caller its own lambda and zeta
+dicts; the lattice is shared, as nothing mutates it.
 
 For a concrete instance A = {L(n) : n <= x} the weighted sum
 
@@ -37,6 +42,7 @@ modulus, so it shares nothing with the lambda algebra or the lift in E.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -101,9 +107,10 @@ def _require_finite(**values):
 
 
 def richert_a(W: RichertWeights, d: int) -> float:
-    """Weight a_d per the four-case definition."""
+    """Weight a_d per the four-case definition, for a whole d >= 1."""
+    d = _whole("d", d)
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ValueError(f"d = {d} must be >= 1")
     if d == 1:
         return W.b
     if not is_prime(d) or d >= W.z:
@@ -240,8 +247,10 @@ def _dual(lat: SupportLattice, values: dict, to_lambda: bool, exact: bool) -> di
 
 def support_u(xi: float, z_prime: float) -> float:
     """u = log xi / log z', so that xi = z'^u.  DomainError unless xi and
-    z' are finite and z' > 1."""
+    z' are finite, xi > 0 and z' > 1."""
     _require_finite(xi=xi, z_prime=z_prime)
+    if xi <= 0:
+        raise DomainError(f"xi = {xi:g} must be > 0")
     if z_prime <= 1:
         raise DomainError(f"z' = {z_prime:g} must be > 1")
     return math.log(xi) / math.log(z_prime)
@@ -280,20 +289,39 @@ def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
     return _dual(_lattice(L, support_elements(xi, z_prime)), lam, False, exact)
 
 
+@functools.lru_cache(maxsize=1)
+def _classical(L: LinearSystem, sf: tuple, exact: bool) -> tuple[SupportLattice, dict, dict]:
+    """(lattice, zeta, lambda) of the classical zeta = 1 over the support
+    pairs sf, kept for the last (L, sf, exact) only.  Callers copy zeta
+    and lambda; nothing mutates a lattice."""
+    lat = _lattice(L, sf)
+    zeta = dict.fromkeys(lat.rho, Fraction(1) if exact else 1.0)
+    return lat, zeta, _dual(lat, zeta, True, exact)
+
+
 def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
                         zeta=None, P: SievePolynomial | None = None,
                         exact: bool = True) -> LambdaSystem:
     """Assemble a LambdaSystem from explicit zeta values, a polynomial
     (zeta_r = P(log(xi/r)/log z')), or the classical choice zeta = 1
-    when neither is given.  The system keeps its support lattice."""
+    when neither is given.  The system keeps its support lattice; the
+    classical one may share it with the previous classical system of the
+    same support.  DomainError when explicit zeta values miss a support
+    element."""
     sf = support_elements(xi, z_prime)
     support = tuple(m for m, _ in sf)
-    if zeta is None and P is not None:
+    if zeta is None and P is None:
+        # lambda_1 = sum 1/f'(m) > 0: no check needed
+        lat, zeta, lam = _classical(L, tuple(sf), exact)
+        return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
+    if zeta is None:
         zeta = _poly_zeta(P, xi, z_prime, sf, exact)
-    elif zeta is None:
-        zeta = dict.fromkeys(support, Fraction(1) if exact else 1.0)
     elif not isinstance(zeta, dict):
         zeta = {m: zeta(m) for m in support}
+    else:
+        missing = next((m for m in support if m not in zeta), None)
+        if missing is not None:
+            raise DomainError(f"no zeta value for support element {missing}")
     lat = _lattice(L, sf)
     lam = _dual(lat, zeta, True, exact)
     if lam[1] == 0:
@@ -338,7 +366,9 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
         N = prod
     s = math.isqrt(N)
     size = 2 * s + 1 - (N // s == s)
-    if len(primes) * size > (budget or GSUM_WORK_BUDGET):
+    if budget is None:
+        budget = GSUM_WORK_BUDGET
+    if len(primes) * size > budget:
         raise BudgetExceeded(f"G-sum work {len(primes)} x {size} above budget")
     large = N // np.arange(s, 0, -1, dtype=np.int64)
     V = np.concatenate((np.arange(s + 1, dtype=np.int64), large[large > s]))
@@ -636,7 +666,10 @@ def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem) -> Decomp
 
 
 def error_bound_analytic(L: LinearSystem, z: float, xi: float) -> float:
-    """Crude analytic envelope z * xi^2 / V(z)^7 for the remainder term."""
+    """Crude analytic envelope z * xi^2 / V(z)^7 for the remainder term.
+    DomainError unless xi is finite and > 0."""
     _require_finite(xi=xi)
+    if xi <= 0:
+        raise DomainError(f"xi = {xi:g} must be > 0")
     v = V_product(L, z)
     return z * xi * xi / v ** 7

@@ -220,6 +220,13 @@ class TestFValues:
             fn(twin, 1.5)
         assert fn(twin, 15.0) == fn(twin, np.int64(15)) == fn(twin, 15)
 
+    @pytest.mark.parametrize("fn", [rho, f_values, roots_mod_squarefree])
+    @pytest.mark.parametrize("d", [True, np.True_])
+    def test_bool_modulus_refused(self, twin, fn, d):
+        # True was read as the modulus 1
+        with pytest.raises(ValueError, match=r"^d = True must be an integer$"):
+            fn(twin, d)
+
     def test_roundtrip_f_times_rho(self, twin):
         for d in (2, 3, 5, 6, 15, 30, 105):
             f, _ = f_values(twin, d)

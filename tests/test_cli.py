@@ -245,6 +245,7 @@ class TestContracts:
         (IDENTITY + ("--zp", "inf"), "z_prime = inf must be finite"),
         (IDENTITY + ("--xi", "nan"), "xi = nan must be finite"),
         (IDENTITY + ("--xi", "inf"), "xi = inf must be finite"),
+        (IDENTITY + ("--xi", "-5"), "xi = -5 must be > 0"),
         (IDENTITY + ("--x", "-5"), "x = -5 must be >= 0"),
         (SEARCH + ("--r", "-1"), "r = -1 must be >= 0"),
         (SEARCH + ("--r", "-1", "--density"), "r = -1 must be >= 0"),
@@ -273,6 +274,7 @@ class TestContracts:
         (("bound", "--kappa", "10", "--slack", "inf"), "slack = inf must be finite"),
     ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
             "b-inf", "b-nan", "y-nan", "z-inf", "zp-nan", "zp-inf", "xi-nan", "xi-inf",
+            "xi--5",
             "x--5", "r--1", "r--1-density", "density-without-r", "delta-U-1",
             "delta-U-near-1", "delta-nan", "delta-inf", "eps-nan", "eps--1", "tol-nan",
             "tol--1", "tol-0", "degree-257", "degree-30000", "kappa-empty",

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +58,19 @@ class TestRichert:
         for p in (2, 3, 5, 7, 11, 13, 37):
             assert richert_a(W, p) <= 0.0
 
+    @pytest.mark.parametrize("d,message", [(2.5, "d = 2.5 must be an integer"),
+                                           (True, "d = True must be an integer"),
+                                           (0, "d = 0 must be >= 1")])
+    def test_d_must_be_a_whole_number(self, d, message):
+        # 2.5 failed in pow with a TypeError, and True gave a_1 = b
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            richert_a(RichertWeights(b=2.0, y=10.0, z=100.0), d)
+
+    def test_whole_d_of_any_type(self):
+        W = RichertWeights(b=2.0, y=10.0, z=100.0)
+        for d in (1, 7, 53):
+            assert richert_a(W, float(d)) == richert_a(W, np.int64(d)) == richert_a(W, d)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             RichertWeights(b=0.0, y=2.0, z=10.0)
@@ -91,6 +106,12 @@ class TestSupport:
     def test_non_finite_rejected(self, fn, xi, zp, message):
         with pytest.raises(DomainError, match=f"^{message} must be finite$"):
             fn(xi, zp)
+
+    @pytest.mark.parametrize("xi", [0, -5, -0.5])
+    def test_u_needs_positive_xi(self, xi):
+        # log xi raised an untyped "math domain error"
+        with pytest.raises(DomainError, match=f"^xi = {xi:g} must be > 0$"):
+            weights.support_u(xi, 10)
 
 
 class TestZetaLambda:
@@ -274,6 +295,102 @@ class TestErrorPaths:
         with pytest.raises(DensityZero, match=r"^rho\(2\) = 0$"):
             build_lambda_system(build_system([[2, 1]]), 10, 10, exact=exact)
 
+    def test_zeta_missing_a_support_element(self, twin):
+        # raised an untyped KeyError: 2
+        with pytest.raises(DomainError, match="^no zeta value for support element 2$"):
+            build_lambda_system(twin, 100, 10, zeta={1: 1})
+        zeta = dict.fromkeys(m for m, _ in support_elements(100, 10) if m != 35)
+        with pytest.raises(DomainError, match="^no zeta value for support element 35$"):
+            build_lambda_system(twin, 100, 10, zeta=zeta)
+
+
+def memoless_classical(L, xi, zp, exact):
+    """Classical lambda straight from _lattice and _dual, by no cache."""
+    lat = weights._lattice(L, support_elements(xi, zp))
+    return weights._dual(lat, dict.fromkeys(lat.rho, Fraction(1) if exact else 1.0),
+                         True, exact)
+
+
+def bits(lam):
+    """(m, type, value) with floats as hex: equal only when bit for bit."""
+    return [(m, type(v), v.hex() if isinstance(v, float) else v) for m, v in lam.items()]
+
+
+MEMO_FORMS = ([[1, 0]], [[1, 0], [1, 2]], [[3, 1], [5, -1]])
+
+
+class TestClassicalMemo:
+    """build_lambda_system keeps the last classical (zeta = 1) system."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_lambda_bit_identical_to_memoless(self, exact, order):
+        calls = [(forms, zp, xi) for forms in MEMO_FORMS for zp in (2, 7, 12, 13)
+                 for xi in range(2, 48)]
+        if order == "descending":
+            calls.reverse()
+        elif order == "interleaved":
+            # across forms and z' too, so that supports repeat out of turn
+            calls = [calls[i] for i in np.random.default_rng(19).permutation(len(calls))]
+        for forms, zp, xi in calls:
+            L = build_system(forms)
+            S = build_lambda_system(L, xi, zp, exact=exact)
+            assert bits(S.lam) == bits(memoless_classical(L, xi, zp, exact))
+            assert S.zeta == dict.fromkeys(S.support, 1) and S.support == tuple(S.lam)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_mutating_a_system_leaves_the_next(self, twin, exact):
+        want = bits(memoless_classical(twin, 30, 12, exact))
+        S = build_lambda_system(twin, 30, 12, exact=exact)
+        S.lam[1] = 0
+        S.lam.pop(2)
+        S.zeta[1] = 7
+        # z' = 13 has the same support as z' = 12
+        T = build_lambda_system(twin, 30, 13, exact=exact)
+        assert bits(T.lam) == want
+        assert set(T.zeta.values()) == {1}
+        assert T.lam is not S.lam and T.zeta is not S.zeta
+
+    @pytest.mark.parametrize("forms,error,message", [
+        ([[1, 0], [1, 1]], DivisionByZero, r"^f'\(2\) = 0$"),
+        ([[3, 1], [5, -2]], DivisionByZero, r"^f'\(2\) = 0$"),
+        ([[2, 1]], DensityZero, r"^rho\(2\) = 0$"),
+    ])
+    def test_errors_are_not_kept(self, twin, forms, error, message):
+        build_lambda_system(twin, 40, 12)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                build_lambda_system(build_system(forms), 40, 12)
+        assert bits(build_lambda_system(twin, 40, 12).lam) == \
+            bits(memoless_classical(twin, 40, 12, True))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_polynomial_and_explicit_zeta_skip_the_memo(self, twin, monkeypatch, exact):
+        u = math.log(60) / math.log(14)
+        want = build_lambda_system(twin, 60, 14, P=SievePolynomial.one(u + 1e-9), exact=exact)
+
+        def refuse(*args):
+            raise AssertionError("classical memo read")
+
+        monkeypatch.setattr(weights, "_classical", refuse)
+        for kw in ({"P": SievePolynomial.one(u + 1e-9)}, {"zeta": lambda m: want.zeta[m]},
+                   {"zeta": want.zeta}):
+            S = build_lambda_system(twin, 60, 14, exact=exact, **kw)
+            assert bits(S.lam) == bits(want.lam)
+            assert S.lattice is not want.lattice
+
+    def test_holds_one_system_at_most(self, twin):
+        S = build_lambda_system(twin, 30, 12)
+        assert build_lambda_system(twin, 30, 13).lattice is S.lattice
+        held = weakref.ref(S.lattice)
+        del S
+        gc.collect()
+        assert held() is not None  # the memo holds the last system
+        build_lambda_system(twin, 31, 12)
+        gc.collect()
+        assert held() is None
+        assert weights._classical.cache_info().currsize <= 1
+
 
 class TestEnumerateOnce:
     @pytest.fixture
@@ -375,6 +492,12 @@ class TestGSum:
     def test_budget(self, twin):
         with pytest.raises(BudgetExceeded):
             G_sum(twin, 10 ** 7, 10 ** 4, budget=1000)
+
+    def test_budget_zero_is_a_budget(self, twin):
+        # 0 once fell back to GSUM_WORK_BUDGET and returned 12.93
+        with pytest.raises(BudgetExceeded, match=r"^G-sum work 4 x 19 above budget$"):
+            G_sum(twin, 100, 10, budget=0)
+        assert G_sum(twin, 100, 10, budget=4 * 19) == G_sum(twin, 100, 10)
 
     @pytest.mark.parametrize("r,zp,message", [
         (100, math.nan, "cutoff z = nan"), (math.nan, 10, "r = nan"), (math.inf, 10, "r = inf")])
@@ -750,6 +873,12 @@ class TestErrorBound:
     def test_non_finite_xi_refused(self, tuple_n, xi):
         with pytest.raises(DomainError, match=f"^xi = {xi} must be finite$"):
             error_bound_analytic(tuple_n, 10, xi)
+
+    @pytest.mark.parametrize("xi", [0, -5])
+    def test_xi_must_be_positive(self, twin, xi):
+        # xi = -5 gave 2.6e10, as xi^2 hides the sign
+        with pytest.raises(DomainError, match=f"^xi = {xi} must be > 0$"):
+            error_bound_analytic(twin, 10, xi)
 
     def test_dominates_exact_error(self, tuple_n):
         W = RichertWeights(b=3.0, y=3.0, z=10.0)
