@@ -277,16 +277,30 @@ def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
     return _poly_zeta(P, xi, z_prime, support_elements(xi, z_prime), exact)
 
 
+def _require_values(name: str, values: dict, sf) -> None:
+    """DomainError naming the first support element of the pairs sf that
+    has no entry in values."""
+    missing = next((m for m, _ in sf if m not in values), None)
+    if missing is not None:
+        raise DomainError(f"no {name} value for support element {missing}")
+
+
 def lambda_from_zeta(L: LinearSystem, xi: float, z_prime: float, zeta: dict,
                      exact: bool = True) -> dict:
-    """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr)."""
-    return _dual(_lattice(L, support_elements(xi, z_prime)), zeta, True, exact)
+    """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr).
+    DomainError when zeta misses a support element."""
+    sf = support_elements(xi, z_prime)
+    _require_values("zeta", zeta, sf)
+    return _dual(_lattice(L, sf), zeta, True, exact)
 
 
 def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
                      exact: bool = True) -> dict:
-    """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr)."""
-    return _dual(_lattice(L, support_elements(xi, z_prime)), lam, False, exact)
+    """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr).
+    DomainError when lam misses a support element."""
+    sf = support_elements(xi, z_prime)
+    _require_values("lambda", lam, sf)
+    return _dual(_lattice(L, sf), lam, False, exact)
 
 
 @functools.lru_cache(maxsize=1)
@@ -319,9 +333,7 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
     elif not isinstance(zeta, dict):
         zeta = {m: zeta(m) for m in support}
     else:
-        missing = next((m for m in support if m not in zeta), None)
-        if missing is not None:
-            raise DomainError(f"no zeta value for support element {missing}")
+        _require_values("zeta", zeta, sf)
     lat = _lattice(L, sf)
     lam = _dual(lat, zeta, True, exact)
     if lam[1] == 0:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievekit import search
 from sievekit.arithmetic import arithmetic_tables, build_system, from_offsets
 from sievekit.cli import main
 from sievekit.errors import BudgetExceeded, Int64Overflow, LimitTooLarge
 from sievekit.search import (
+    _shift_groups,
     count_at_most,
     density_report,
     omega_profile,
@@ -81,6 +83,8 @@ TWIN_1E6 = {
 }
 # sha256 of `sievekit search --tuple 0,2 --x 1000000 --format json` stdout
 TWIN_1E6_JSON_SHA256 = "37b12fe146146ebdacb23067ed3f9fd2cde6cb7322919e91d5f17320af36aa67"
+# the kappa = 30 tuple of the first 30 primes above 30
+PRIMES_ABOVE_30 = [int(p) for p in arithmetic_tables(200) if p > 30][:30]
 
 
 class TestProfile:
@@ -152,6 +156,18 @@ class TestProfile:
         with pytest.raises(ValueError, match="segment_size"):
             omega_profile(twin, 100, segment_size=size)
 
+    @pytest.mark.parametrize("name", ["segment_size", "threads"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, True, math.nan])
+    def test_sieve_settings_must_be_whole(self, twin, name, value):
+        # segment_size 2.5 or nan raised a TypeError from range; True and
+        # threads = 1.5 ran as 1
+        with pytest.raises(ValueError, match=rf"^{name} = {value} must be an integer$"):
+            omega_profile(twin, 100, **{name: value})
+
+    def test_whole_float_settings_accepted(self, twin):
+        h = omega_profile(twin, 100, segment_size=7.0, threads=np.int64(2))
+        assert h == omega_profile(twin, 100, segment_size=7, threads=2)
+
     def test_thread_invariance(self, twin):
         base = omega_profile(twin, 100_000, threads=1)
         for t in (4, 8):
@@ -219,6 +235,81 @@ class TestAgainstReference:
         assert hashlib.sha256(out.encode()).hexdigest() == TWIN_1E6_JSON_SHA256
 
 
+class TestShiftGroups:
+    """Forms a*n + b_i with one a and one b_i mod |a| are sieved once, as
+    a*(n + d_i) + b over a window that reaches d_i past the segment."""
+
+    @pytest.mark.parametrize("forms,x,oracle", [
+        # one group with a = 3: 3(n + d) + 1 for d = 0, 1, 2
+        ([[3, 1], [3, 4], [3, 7]], 3000, naive_profile),
+        # negative a, with zeros at n = 50 and n = 52
+        ([[-1, 50], [-1, 52]], 3000, naive_profile),
+        # the zeros at n = 7 and n = 5 are one window offset, read by both
+        ([[1, -7], [1, -5]], 3000, naive_profile),
+        # spread 40 passes segment sizes 1 and 7: two groups there
+        ([[1, 0], [1, 40]], 3000, naive_profile),
+        # segment size 1 makes one segment per n: kept to the smaller x
+        ([[1, h] for h in PRIMES_ABOVE_30], 500, reference_profile),
+    ])
+    def test_groups_match_oracle(self, forms, x, oracle):
+        L = build_system(forms)
+        want = oracle(L, x)
+        for size in (1, 7, 997, 1 << 17):
+            for threads in (1, 2):
+                h = omega_profile(L, x, segment_size=size, threads=threads)
+                assert (h.counts, h.excluded) == want, (size, threads)
+
+    def test_zero_read_by_no_member(self):
+        # x = 40 in segments of 30: the second window, m in [31, 66), holds
+        # the base zero m = 45, which member 0 reads only for n > x and
+        # member 25 only in the first segment (n = 20)
+        L = build_system([[1, -45], [1, -20]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = omega_profile(L, 40, segment_size=30)
+        assert (h.counts, h.excluded) == naive_profile(L, 40)
+
+    def test_thirty_forms_match_reference(self):
+        L = from_offsets(PRIMES_ABOVE_30)
+        want = reference_profile(L, 10 ** 5)
+        for size in (997, 1 << 17):
+            for threads in (1, 2):
+                h = omega_profile(L, 10 ** 5, segment_size=size, threads=threads)
+                assert (h.counts, h.excluded) == want, (size, threads)
+
+    def test_grouping(self):
+        vmax = [1, 2, 3]
+        # b mod |a| decides the group; shifts ascend from 0
+        assert _shift_groups([(3, 7), (3, 1), (3, 4)], vmax, 10) == [(3, 1, (0, 1, 2), 3)]
+        assert _shift_groups([(-1, 50), (-1, 52)], vmax, 10) == [(-1, 52, (0, 2), 2)]
+        assert _shift_groups([(3, 1), (3, 2), (5, 1)], vmax, 10) == \
+            [(3, 1, (0,), 1), (3, 2, (0,), 2), (5, 1, (0,), 3)]
+        # a spread above max_spread starts a new group
+        assert _shift_groups([(1, 0), (1, 40)], vmax, 40) == [(1, 0, (0, 40), 2)]
+        assert _shift_groups([(1, 0), (1, 40)], vmax, 7) == [(1, 0, (0,), 1), (1, 40, (0,), 2)]
+        assert _shift_groups([(1, 0), (1, 5), (1, 8), (1, 12)], [1, 2, 3, 4], 7) == \
+            [(1, 0, (0, 5), 2), (1, 8, (0, 4), 4)]
+
+    @pytest.mark.parametrize("forms,size,sieves", [
+        ([[1, 0], [1, 2], [1, 6]], 1 << 17, 1),
+        ([[1, 0], [1, 40]], 7, 2),
+        ([[3, 1], [5, -2]], 1 << 17, 2),
+    ])
+    def test_one_sieve_per_group(self, monkeypatch, forms, size, sieves):
+        calls = []
+        build = search._sieve_classes
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(search, "_sieve_classes", counted)
+        L = build_system(forms)
+        h = omega_profile(L, 1000, segment_size=size)
+        assert len(calls) == sieves
+        assert (h.counts, h.excluded) == naive_profile(L, 1000)
+
+
 class TestCounts:
     def test_twin_pairs_to_100(self, twin):
         # n = 1 gives L = 3 with a single prime factor, plus the eight
@@ -250,6 +341,13 @@ class TestCounts:
         # x above X_CAP would raise BudgetExceeded once sieving started
         with pytest.raises(ValueError, match=r"^r = -1 must be >= 0$"):
             count(twin, 10 ** 10, -1)
+
+    @pytest.mark.parametrize("r", [2.5, True, math.nan])
+    def test_r_must_be_whole(self, twin, r):
+        # r = 2.5 counted Omega <= 2 and r = True Omega <= 1
+        with pytest.raises(ValueError, match=rf"^r = {r} must be an integer$"):
+            count_at_most(twin, 100, r)
+        assert count_at_most(twin, 100, 2.0) == count_at_most(twin, 100, 2) == 9
 
     def test_consistent_with_profile_partial_sums(self, twin):
         h = omega_profile(twin, 2000)

@@ -303,6 +303,17 @@ class TestErrorPaths:
         with pytest.raises(DomainError, match="^no zeta value for support element 35$"):
             build_lambda_system(twin, 100, 10, zeta=zeta)
 
+    @pytest.mark.parametrize("invert,name", [(lambda_from_zeta, "zeta"),
+                                             (zeta_from_lambda, "lambda")])
+    def test_inverse_missing_a_support_element(self, twin, invert, name):
+        # both raised an untyped KeyError: 2
+        with pytest.raises(DomainError, match=f"^no {name} value for support element 2$"):
+            invert(twin, 100, 10, {1: 1})
+        values = dict.fromkeys((m for m, _ in support_elements(100, 10) if m != 35),
+                               Fraction(1))
+        with pytest.raises(DomainError, match=f"^no {name} value for support element 35$"):
+            invert(twin, 100, 10, values)
+
 
 def memoless_classical(L, xi, zp, exact):
     """Classical lambda straight from _lattice and _dual, by no cache."""
