@@ -27,10 +27,11 @@ integral from the interval's left end.
 
 j' is evaluated two ways.  The integrals of ``moments`` need it at fixed
 Gauss-Legendre nodes of whole unit intervals, so ``JFunction.j_prime_nodes``
-computes it there for every interval at once, as arrays: g at the nodes
-of all intervals is one product of the coefficient matrix with a
-Chebyshev-Vandermonde matrix, g(v - 1) is the previous interval's row at
-the same local coordinate, and the table is kept on the instance.  The
+computes it there for every interval at once: ``log_q_prime``'s formula,
+in its operation order, on arrays.  g at the nodes of all intervals is one
+product of the solution's padded coefficient matrix with a Chebyshev-
+Vandermonde matrix, g(v - 1) is the previous interval's row at the same
+local coordinate, and the table is kept on the instance.  The
 scalar evaluators serve everything else (the one partial piece of each
 integral, which scipy's quadrature samples, the CLI grid and the tests),
 so they are kept to plain Python floats: each interval's coefficients are
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .arithmetic import _whole
-from .errors import OutOfRange, OutOfValidity, RangeOverflow, ToleranceNotMet
+from .errors import DomainError, OutOfRange, OutOfValidity, RangeOverflow, ToleranceNotMet
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -114,12 +115,13 @@ class JFunction:
     Interval (m, m+1] stores Chebyshev coefficients of the scaled
     solution g(w) = q(w) * w^(-kappa); on (0, 1] the solution q = w^kappa
     is exact.  Each interval's coefficients are kept as a tuple of floats
-    in reverse order (highest degree first), the form ``_clenshaw`` takes.
+    in reverse order (highest degree first), the form ``_clenshaw`` takes,
+    and as a row of one zero-padded matrix, which the array code reads.
     Instances are immutable after solve apart from one cache:
     ``j_prime_nodes`` stores its table per node count.
     """
 
-    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_node_tables")
+    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_coef", "_node_tables")
 
     def __init__(self, kappa, w_max, tol, degree, log_c, coeffs):
         self.kappa = kappa
@@ -128,6 +130,9 @@ class JFunction:
         self.degree = degree
         self.log_c = log_c
         self._rev = [tuple(c[::-1].tolist()) for c in coeffs]
+        self._coef = np.zeros((len(coeffs), max(map(len, coeffs), default=1)))
+        for row, c in zip(self._coef, coeffs):
+            row[:len(c)] = c
         self._node_tables = {}
 
     # -- scaled representation ------------------------------------------
@@ -225,37 +230,19 @@ class JFunction:
             return table
         t, _ = gauss_legendre(n)
         k = self.kappa
-        v = np.arange(len(self._rev) + 1)[:, None] + t
+        v = np.arange(len(self._coef) + 1)[:, None] + t
         log_v = np.log(v)
-        # built in place, one array per quantity, in the scalar operation order
-        table = (k - 1) * log_v
-        table[0] += math.log(k)
-        if self._rev:
-            coef = np.zeros((len(self._rev), max(map(len, self._rev))))
-            for row, rev in zip(coef, self._rev):
-                row[:len(rev)] = rev[::-1]
-            log_g = coef @ C.chebvander(2.0 * t - 1.0, coef.shape[1] - 1).T
-            np.log(log_g, out=log_g)
-            lq = k * log_v[1:]
-            lq += log_g
-            ratio = v[1:]
-            ratio -= 1.0
-            np.log(ratio, out=ratio)
-            ratio *= k  # log q(v - 1), with g = 1 on (0, 1]
-            ratio[1:] += log_g[:-1]
-            ratio -= lq
-            flat = ratio >= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                diff = np.log1p(np.negative(np.exp(ratio, out=ratio), out=ratio), out=ratio)
-            diff += lq
-            np.add(diff, math.log(k), out=table[1:])
-            table[1:] -= log_v[1:]
-            table[1:][flat] = -math.inf
-        table += self.log_c
-        tiny = table <= _LOG_TINY
+        log_g = np.log(self._coef @ C.chebvander(2.0 * t - 1.0, self._coef.shape[1] - 1).T)
+        lq = k * log_v[1:] + log_g
+        lq_delayed = k * np.log(v[1:] - 1.0)  # g = 1 on (0, 1]
+        lq_delayed[1:] += log_g[:-1]
+        ratio = lq_delayed - lq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = lq + np.log1p(-np.exp(ratio))
+        log_q_prime = np.where(ratio >= 0.0, -math.inf, math.log(k) + diff - log_v[1:])
+        log_j_prime = self.log_c + np.vstack([math.log(k) + (k - 1) * log_v[:1], log_q_prime])
         with np.errstate(under="ignore"):
-            np.exp(table, out=table)
-        table[tiny] = 0.0
+            table = np.where(log_j_prime <= _LOG_TINY, 0.0, np.exp(log_j_prime))
         table.flags.writeable = False
         self._node_tables[n] = table
         return table
@@ -274,7 +261,7 @@ class JFunction:
         if w <= 1.0 or not self._rev:
             return 0.0
         m = min(int(math.ceil(w)) - 1, len(self._rev))
-        coeffs = np.array(self._rev[m - 1][::-1])
+        coeffs = self._coef[m - 1]
         x = 2.0 * (w - m) - 1.0
         g = float(C.chebval(x, coeffs))
         gp = 2.0 * float(C.chebval(x, C.chebder(coeffs)))
@@ -395,6 +382,20 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> J
     return JFunction(kappa, w_max, tol, max_deg, c_kappa(kappa).log, coeffs)
 
 
+def _resolve_j(kappa, u, J):
+    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)];
+    DomainError unless u is positive and finite.  The one check of every
+    consumer of a solved J at a sieve parameter u."""
+    if not 0.0 < u < math.inf:
+        raise DomainError(f"u = {u:g} must be positive and finite")
+    if J is None:
+        return solve_j(kappa, max(u, 1.0))
+    if J.kappa != kappa or J.w_max < u * (1.0 - 1e-12):
+        raise DomainError(f"J solved for kappa = {J.kappa} on [0, {J.w_max:g}] does "
+                          f"not serve kappa = {kappa} up to u = {u:g}")
+    return J
+
+
 def saddle_j_prime(sp: SaddleParams, w: float) -> tuple[float, float]:
     """Main term of the saddle-point formula for j'(u - w), u = kappa-1/3-d:
 
@@ -406,7 +407,7 @@ def saddle_j_prime(sp: SaddleParams, w: float) -> tuple[float, float]:
     not claimed).
     """
     k = sp.kappa
-    if w < 0.0 or w > k ** 0.6:
+    if not 0.0 <= w <= k ** 0.6:
         raise OutOfValidity(f"saddle formula needs 0 <= w <= kappa^(3/5) = {k ** 0.6:.3f}")
     base = math.exp(-w * w / k) / math.sqrt(math.pi * k)
     value = base * (1.0 - 2.0 * sp.d * w / k - (4.0 / 9.0) * w ** 3 / k ** 2)
@@ -426,9 +427,8 @@ class TailReport:
 def tail_check(J: JFunction, u: float) -> TailReport:
     """Verify the tail inequality j(u-w) <= exp(-w^2/kappa) on TAIL_GRID
     equal steps over (kappa^(3/5), u].  max_violation <= 0 means no
-    violation."""
-    if u > J.w_max * (1.0 + 1e-12):
-        raise OutOfRange("u beyond solved range")
+    violation; DomainError unless J serves a finite u > 0."""
+    _resolve_j(J.kappa, u, J)
     k = J.kappa
     lo = k ** 0.6
     if lo >= u:

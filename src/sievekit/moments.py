@@ -12,10 +12,8 @@ with closed asymptotic forms at u = kappa - 1/9:
     J1(1) = sqrt(kappa/pi)/2 - 1/18 + O(1/sqrt(kappa))
     J2(0) = log(kappa)/4 + digamma(1/2)/4 - 1/(9 sqrt(pi kappa)) + O(log k/k)
 
-``canonical_u`` is that u.  Every integral of the solved j_kappa has one check:
-u must be finite and positive, and a J passed in must be solved for the same
-kappa up to u (DomainError otherwise); with no J, j_kappa is solved on
-[0, max(u, 1)].
+``canonical_u`` is that u.  Every integral takes the solved j_kappa through
+``delay_ode``'s one (kappa, u) check, which solves it when no J is given.
 
 Every one of these integrals, and every main-term integral, is
 int_0^u c(w) (log w)^(0 or 1) j'(u-w) dw with c a polynomial, and goes
@@ -44,7 +42,8 @@ import numpy as np
 import scipy.special as sc
 from scipy import integrate
 
-from .delay_ode import JFunction, gauss_legendre, solve_j
+from .arithmetic import _whole
+from .delay_ode import JFunction, _resolve_j, gauss_legendre
 from .errors import DomainError, PoleError, QuadratureFailure
 
 RANGE_GRID = 4001
@@ -94,6 +93,8 @@ class SievePolynomial:
     def __post_init__(self):
         if not 0 < self.u < math.inf:
             raise DomainError(f"u = {self.u:g} must be positive and finite")
+        if len(self.coef) == 0:
+            raise DomainError("P needs at least one coefficient")
         if not all(map(math.isfinite, self.coef)):
             raise DomainError(f"coefficients {self.coef} of P must be finite")
         ws = np.linspace(0.0, self.u, 2001)
@@ -234,22 +235,10 @@ def canonical_u(kappa) -> float:
     return kappa - 1.0 / 9.0
 
 
-def _resolve_j(kappa, u, J):
-    """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)];
-    DomainError unless u is positive and finite."""
-    if not 0.0 < u < math.inf:
-        raise DomainError(f"u = {u:g} must be positive and finite")
-    if J is None:
-        return solve_j(kappa, max(u, 1.0))
-    if J.kappa != kappa or J.w_max < u * (1.0 - 1e-12):
-        raise DomainError(f"J solved for kappa = {J.kappa} on [0, {J.w_max:g}] does "
-                          f"not serve kappa = {kappa} up to u = {u:g}")
-    return J
-
-
 def _moment(kappa, u, i, J, log, comparator) -> MomentReport:
     """Report of int_0^u w^i (log w if ``log``) j'(u-w) dw, u canonical when
     None; only there does ``comparator()`` supply (asymptotic, envelope)."""
+    i = _whole("i", i)
     if u is None:
         u = canonical_u(kappa)
     J = _resolve_j(kappa, u, J)

@@ -70,6 +70,14 @@ _INT64_LIMIT = 1 << 63
 _HALF_LOG2 = math.log(2) / 2
 
 
+def _whole_r(r) -> int:
+    """r as an int; ValueError unless it is a whole number >= 0."""
+    r = _whole("r", r)
+    if r < 0:
+        raise ValueError(f"r = {r} must be >= 0")
+    return r
+
+
 @dataclass(frozen=True)
 class OmegaHistogram:
     """counts[k] = #{n <= x : L(n) != 0, Omega(L(n)) = k}; n with
@@ -84,6 +92,8 @@ class OmegaHistogram:
         return sum(self.counts.values()) + self.excluded
 
     def count_at_most(self, r: int) -> int:
+        """#{n : Omega(L(n)) <= r}; ValueError unless r is a whole number >= 0."""
+        r = _whole_r(r)
         return sum(c for k, c in self.counts.items() if k <= r)
 
 
@@ -229,9 +239,7 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
 def count_at_most(L: LinearSystem, x: int, r: int, **kwargs) -> int:
     """#{n <= x : L(n) != 0 and Omega(L(n)) <= r}; ValueError when r is
     not a whole number >= 0, before any sieving."""
-    r = _whole("r", r)
-    if r < 0:
-        raise ValueError(f"r = {r} must be >= 0")
+    r = _whole_r(r)
     return omega_profile(L, x, **kwargs).count_at_most(r)
 
 

@@ -63,6 +63,7 @@ from .arithmetic import (
     roots_mod_squarefree,
     V_product,
 )
+from .delay_ode import _resolve_j
 from .errors import (
     BudgetExceeded,
     DensityZero,
@@ -71,7 +72,7 @@ from .errors import (
     SupportEmpty,
     ZeroFactor,
 )
-from .moments import SievePolynomial, _resolve_j
+from .moments import SievePolynomial
 
 SUPPORT_NODE_BUDGET = 10_000_000
 GSUM_WORK_BUDGET = 100_000_000

@@ -16,7 +16,7 @@ from sievekit.delay_ode import (
     solve_j,
     tail_check,
 )
-from sievekit.errors import OutOfRange, OutOfValidity, RangeOverflow
+from sievekit.errors import DomainError, OutOfRange, OutOfValidity, RangeOverflow
 
 
 def closed_form_k1(w):
@@ -551,6 +551,8 @@ class TestSaddle:
             saddle_j_prime(sp, 40 ** 0.6 + 0.1)
         with pytest.raises(OutOfValidity):
             saddle_j_prime(sp, -0.5)
+        with pytest.raises(OutOfValidity):  # returned (nan, nan)
+            saddle_j_prime(sp, math.nan)
 
     def test_default_d_gives_canonical_u(self):
         sp = SaddleParams(40)
@@ -580,3 +582,10 @@ class TestTail:
             J = jfun(k, u) if k != 60 else solve_j(60, u)
             w = k ** 0.6 * 1.001
             assert J.j(u - w) < math.exp(-w * w / k)
+
+    @pytest.mark.parametrize("u", [-5.0, 0.0, math.nan, math.inf, 10.5])
+    def test_u_must_be_served_by_j(self, jfun, u):
+        # u <= 0 passed with nothing checked, NaN raised numpy's integer
+        # conversion error, and u beyond w_max raised OutOfRange
+        with pytest.raises(DomainError):
+            tail_check(jfun(10, 10.0), u)

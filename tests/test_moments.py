@@ -96,6 +96,11 @@ class TestSievePolynomial:
         with pytest.raises(DomainError, match="must be"):
             SievePolynomial(coef, u)
 
+    def test_needs_a_coefficient(self):
+        # raised numpy's IndexError
+        with pytest.raises(DomainError, match="^P needs at least one coefficient$"):
+            SievePolynomial((), 1.0)
+
     def test_range(self):
         P = SievePolynomial((1.0, 1.0), 2.0)
         lo, hi = P.range_on_domain()
@@ -150,6 +155,28 @@ class TestMomentJ2:
         for k in (10, 20, 40, 80):
             rep = moment_J2(k, J=jfun(k))
             assert abs(rep.diff) <= 5.0 * math.log(k) / k
+
+
+class TestMomentIndex:
+    """i is a whole number: 1.0 raised a TypeError from list repetition and
+    True was reported as the quantity J2(True)."""
+
+    def test_whole_float_accepted(self, jfun):
+        J = jfun(10)
+        assert moment_J1(10, i=1.0, J=J) == moment_J1(10, i=1, J=J)
+        assert moment_J2(10, i=2.0, J=J) == moment_J2(10, i=2, J=J)
+
+    @pytest.mark.parametrize("moment", [moment_J1, moment_J2])
+    @pytest.mark.parametrize("i", [True, 1.5, math.nan])
+    def test_fractional_or_bool_refused(self, jfun, moment, i):
+        with pytest.raises(ValueError):
+            moment(10, i=i, J=jfun(10))
+
+    def test_range_messages(self, jfun):
+        with pytest.raises(ValueError, match="^i must be 0 or 1$"):
+            moment_J1(10, i=2, J=jfun(10))
+        with pytest.raises(ValueError, match="^i must be >= 0$"):
+            moment_J2(10, i=-1, J=jfun(10))
 
 
 class TestRatios:

@@ -349,6 +349,17 @@ class TestCounts:
             count_at_most(twin, 100, r)
         assert count_at_most(twin, 100, 2.0) == count_at_most(twin, 100, 2) == 9
 
+    @pytest.mark.parametrize("r", [2.5, True, math.nan, -1])
+    def test_profile_count_takes_the_same_r_rule(self, twin, r):
+        # the method counted Omega <= 2 for r = 2.5 and Omega <= 1 for True
+        h = omega_profile(twin, 100)
+        with pytest.raises(ValueError) as method_error:
+            h.count_at_most(r)
+        with pytest.raises(ValueError) as function_error:
+            count_at_most(twin, 100, r)
+        assert str(method_error.value) == str(function_error.value)
+        assert h.count_at_most(2.0) == h.count_at_most(np.int64(2)) == 9
+
     def test_consistent_with_profile_partial_sums(self, twin):
         h = omega_profile(twin, 2000)
         for r in (2, 3, 5, 8):
