@@ -138,7 +138,8 @@ class JFunction:
     # -- scaled representation ------------------------------------------
 
     def _check(self, w: float):
-        if w > self.w_max * (1.0 + 1e-12) + 1e-12:
+        # written so that NaN fails the test too
+        if not w <= self.w_max * (1.0 + 1e-12) + 1e-12:
             raise OutOfRange(f"w = {w} beyond solved range {self.w_max}")
 
     def _g(self, w: float) -> float:

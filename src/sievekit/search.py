@@ -21,7 +21,7 @@ prime table up to sqrt(vmax) exists, vmax < arithmetic.TABLE_CAP^2 <
 2^56, so the difference a*(m - lo) of two window values fits in int64
 as well.
 
-Each window is sieved by summed logarithms, in one float64 accumulator.
+Each window is sieved by summed logarithms, in one float32 accumulator.
 The accumulator starts at log|v| - log(2)/2 for the value v = a*m + b,
 and every class that contains m adds 64 - log p.  If k classes hit m
 and F is the product of their primes, which is the part of |v| made of
@@ -33,23 +33,44 @@ The cofactor |v| / F has no prime factor <= sqrt(vmax) >= sqrt(|v|),
 so it is 1 or a prime, and Omega(v) = ceil(acc / 64):
 
 - cofactor 1: acc = 64 k - log(2)/2, so acc / 64 lies in (k - 1, k);
-- cofactor a prime, so >= 2 and < 2^63: acc - 64 k lies in
-  [log(2)/2, 63 log 2) and acc / 64 in (k, k + 1).
+- cofactor a prime, so >= 2 and < 2^56: acc - 64 k lies in
+  [log(2)/2, 56 log 2) and acc / 64 in (k, k + 1).
 
-So each case is at least log(2)/2 = 0.35 from a multiple of 64.  Values
-are below 2^63, so k = Omega(F) <= 62 and 0 < acc + 1 < 64 * 62 + 45 <
-2^12 at every step.  Each float64 rounding on the way (the log, the
-shift, at most 62 weights and 62 additions; the scaling by 1/64 is
-exact) is then at most 2^-42, and their sum below 1e-10.  The count is
-exact, not probabilistic, and does not depend on the order of the adds.
+So each case is at least log(2)/2 = 0.347 from a multiple of 64.  Values
+are below 2^56, so k = Omega(F) <= 55 and |acc| < 64 * 55 + 39 < 2^12 at
+every step.  The error budget in float32:
 
-A class with q <= the window length (segment size plus spread) is one
-strided add per window; the others meet a window at most once and are
-applied together, as arrays, with one np.add.at.  A value 0 (m = -b/a,
-so a = +-1) is found by scalar arithmetic, set to 1 in the window and
-excluded for every member that reads it.  Segments are independent, so
-threading changes nothing but wall time.  The segmented sieve follows
-Bays and Hudson, BIT 17 (1977).
+- the cast of the exact int64 value to float32 and the float32 log are
+  off by a few units in the last place of a value below 64, under 2e-5
+  (2.1e-6 at most, measured over 11 million values below 2^56), and the
+  shift by log(2)/2 adds one rounding of a value below 64, at most 2^-19;
+- each weight 64 - log p is a float32 rounding of a value below 64, at
+  most 2^-19, so 55 weights are off by under 2e-4;
+- each of at most 55 additions rounds a result below 2^12, by at most
+  2^-13, so under 0.007 in all;
+- the scaling by 1/64 is exact.
+
+The total stays below 0.01, far inside 0.347.  The count is exact, not
+probabilistic, and does not depend on the order of the adds.  The
+Omega buffer, also float32, sums at most 55 per form, a whole number
+that float32 holds exactly for fewer than 300,000 forms.
+
+Classes are split by the hits they can make in a window of length W
+(segment size plus spread).  A class with 128 q <= W is one strided add
+per window.  Every other class hits a window at most ceil(W / q) <= 128
+times; for them a template, built once per group, lists
+each possible hit as its class and k*q.  A window computes the first
+offset (c - lo) mod q of every class, adds it to k*q, keeps the
+positions inside the window and applies them all with one np.add.at.
+Handling those few-hit classes in bulk follows Oliveira e Silva,
+Herzog and Pardi, Math. Comp. 83 (2014).  For a = +-1 the roots
+c = -a*b mod q of all classes come from one array operation; other a
+take pow(a, -1, q) per class.
+
+A value 0 (m = -b/a, so a = +-1) is found by scalar arithmetic, set to
+1 in the window and excluded for every member that reads it.  Segments
+are independent, so threading changes nothing but wall time.  The
+segmented sieve follows Bays and Hudson, BIT 17 (1977).
 """
 
 from __future__ import annotations
@@ -68,6 +89,8 @@ X_CAP = 100_000_000
 DEFAULT_SEGMENT = 1 << 17
 _INT64_LIMIT = 1 << 63
 _HALF_LOG2 = math.log(2) / 2
+# a class with q * _FEW_HITS <= window is a strided add, the rest one scatter
+_FEW_HITS = 128
 
 
 def _whole_r(r) -> int:
@@ -97,25 +120,45 @@ class OmegaHistogram:
         return sum(c for k, c in self.counts.items() if k <= r)
 
 
+def _prime_power_classes(a: int, b: int, vmax: int, primes: np.ndarray):
+    """Arrays q, p and c over the prime powers q = p^k <= vmax with
+    p <= sqrt(vmax) and p not dividing a: q divides a*m + b exactly when
+    m = c (mod q).  Primes dividing a are left out, since gcd(a, b) = 1
+    keeps them away from every value."""
+    p = primes[:np.searchsorted(primes, math.isqrt(vmax), "right")].astype(np.int64)
+    p = p[a % p != 0]
+    qs, ps = [p], [p]
+    while len(qs[-1]):
+        # the next powers q * p <= vmax, found without overflow
+        more = qs[-1] <= vmax // ps[-1]
+        qs.append(qs[-1][more] * ps[-1][more])
+        ps.append(ps[-1][more])
+    q, p = np.concatenate(qs), np.concatenate(ps)
+    if abs(a) == 1:
+        # 1/a = a mod q
+        c = np.int64(-a * b) % q
+    else:
+        c = np.array([-b * pow(a, -1, qi) % qi for qi in q.tolist()], dtype=np.int64)
+    return q, p, c
+
+
 def _sieve_classes(a: int, b: int, vmax: int, primes: np.ndarray, window: int):
-    """The prime-power classes of the form a*m + b, each with its weight
-    w = 64 - log p: for q = p^k <= vmax with p <= sqrt(vmax), q divides
-    a*m + b exactly when m = c (mod q).  Primes dividing a are left out,
-    since gcd(a, b) = 1 keeps them away from every value.  Classes with
-    q <= window come back as a list of (q, c, w); the rest, which meet a
-    window at most once, as arrays q, c and w."""
-    dense, sparse = [], []
-    for p in primes[:np.searchsorted(primes, math.isqrt(vmax), "right")].tolist():
-        if a % p == 0:
-            continue
-        w = 64 - math.log(p)
-        q = p
-        while q <= vmax:
-            (dense if q <= window else sparse).append((q, -b * pow(a, -1, q) % q, w))
-            q *= p
-    sq, sc, sw = zip(*sparse) if sparse else ((), (), ())
-    return dense, (np.array(sq, dtype=np.int64), np.array(sc, dtype=np.int64),
-                   np.array(sw, dtype=np.float64))
+    """The classes of _prime_power_classes, each with its weight
+    w = 64 - log p in float32, split by the hits they make in a window of
+    length ``window``.  Classes with q * _FEW_HITS <= window come back as
+    a list of (q, c, w) for strided adds.  The rest come back as a
+    template: their q and c, and for each of their possible hits k*q in
+    a window (k < ceil(window / q)) its class index, k*q and weight."""
+    q, p, c = _prime_power_classes(a, b, vmax, primes)
+    w = (64 - np.log(p)).astype(np.float32)
+    strided = q * _FEW_HITS <= window
+    dense = list(zip(q[strided].tolist(), c[strided].tolist(), w[strided].tolist()))
+    q, c, w = q[~strided], c[~strided], w[~strided]
+    hits = -(-window // q)
+    cls = np.repeat(np.arange(len(q)), hits)
+    # k runs from 0 to hits - 1 within each class
+    k = np.arange(len(cls)) - np.repeat(np.cumsum(hits) - hits, hits)
+    return dense, (q, c, cls, k * q[cls], w[cls])
 
 
 def _shift_groups(forms, form_vmax, max_spread: int):
@@ -141,7 +184,8 @@ def _segments_histogram(groups, spans, classes):
     size = max(hi - lo for lo, hi in spans)
     width = size + max(shifts[-1] for _, _, shifts, _ in groups)
     index = np.arange(width, dtype=np.int64)
-    value_buf, acc_buf, omega_buf = np.empty(width, np.int64), np.empty(width), np.empty(size)
+    value_buf = np.empty(width, np.int64)
+    acc_buf, omega_buf = np.empty(width, np.float32), np.empty(size, np.float32)
     counts = Counter()
     excluded = 0
     for lo, hi in spans:
@@ -149,7 +193,7 @@ def _segments_histogram(groups, spans, classes):
         omega = omega_buf[:m]
         omega.fill(0)
         zeros = []
-        for (a, b, shifts, _), (dense, (sq, sc, sw)) in zip(groups, classes):
+        for (a, b, shifts, _), (dense, (fq, fc, cls, kq, fw)) in zip(groups, classes):
             win = m + shifts[-1]
             v, acc = value_buf[:win], acc_buf[:win]
             np.multiply(index[:win], a, out=v)
@@ -162,14 +206,15 @@ def _segments_histogram(groups, spans, classes):
             if abs(a) == 1 and 0 <= j < win:
                 v[j] = 1
                 zeros.extend(j - d for d in shifts if 0 <= j - d < m)
-            np.log(v, out=acc)
+            np.log(v, out=acc, dtype=np.float32)
             acc -= _HALF_LOG2
             for q, c, w in dense:
                 run = acc[(c - lo) % q::q]
                 run += w
-            off = (sc - lo) % sq
-            hit = off < win
-            np.add.at(acc, off[hit], sw[hit])
+            pos = ((fc - lo) % fq)[cls]
+            pos += kq
+            hit = pos < win
+            np.add.at(acc, pos[hit], fw[hit])
             # acc = 64 Omega(F) + log(|v| / F) - log(2) / 2: see the module docstring
             acc *= 1 / 64
             np.ceil(acc, out=acc)

@@ -498,6 +498,13 @@ class TestEval:
             with pytest.raises(OutOfRange):
                 fn(3.5)
 
+    @pytest.mark.parametrize("method", ["j", "j_prime", "log_j", "representation_residual"])
+    def test_nan_out_of_range(self, method):
+        # NaN passed the range test and reached int(math.ceil(w)), which
+        # raised an untyped ValueError
+        with pytest.raises(OutOfRange):
+            getattr(solve_j(5, 5.0), method)(math.nan)
+
     def test_log_scale_consistent(self, jfun):
         J = jfun(10)
         for w in (0.3, 1.7, 5.5, 9.8):

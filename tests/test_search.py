@@ -310,6 +310,74 @@ class TestShiftGroups:
         assert (h.counts, h.excluded) == naive_profile(L, 1000)
 
 
+def factorint_profile(L, x):
+    """The histogram with every value factored by sympy."""
+    factorint = pytest.importorskip("sympy").factorint
+    counts = Counter()
+    excluded = 0
+    for n in range(1, x + 1):
+        vals = [a * n + b for a, b in L.forms]
+        if 0 in vals:
+            excluded += 1
+        else:
+            counts[sum(sum(factorint(abs(v)).values()) for v in vals)] += 1
+    return dict(sorted(counts.items())), excluded
+
+
+class TestFloat32Margin:
+    """The float32 sums against sympy's factorizations where the
+    accumulator is largest: values near 2^40 to 2^45 and 1e13, with
+    Omega up to 44."""
+
+    @pytest.mark.parametrize("forms,x,top", [
+        # 2^40 at n = 150 and 2^44 at n = 77
+        ([[1, 2 ** 40 - 150]], 300, 40),
+        ([[-1, 2 ** 44 + 77]], 200, 44),
+        # 3^25 at n = 100
+        ([[1, 3 ** 25 - 100]], 200, 25),
+        # a = 2 and a = 5 take the pow roots
+        ([[2, 2 ** 45 - 1]], 100, None),
+        ([[5, 10 ** 13 + 1], [1, 1]], 120, None),
+    ])
+    def test_histogram_matches_factorint(self, forms, x, top):
+        L = build_system(forms)
+        want = factorint_profile(L, x)
+        if top is not None:
+            assert max(want[0]) == top
+        for size in (1, 7, 64, 1 << 17):
+            h = omega_profile(L, x, segment_size=size)
+            assert (h.counts, h.excluded) == want, size
+
+    @pytest.mark.parametrize("size", [81 * 128 - 3, 81 * 128 - 2, 81 * 128 - 1])
+    def test_strided_and_scattered_at_the_edge(self, size):
+        # {0,2} sieves windows of size + 2: q = 81 is a strided add when
+        # 81 * 128 <= size + 2 and one scatter per window otherwise
+        L = from_offsets([0, 2])
+        x = 30_000
+        primes = arithmetic_tables(math.isqrt(x + 2) + 1)
+        dense, _ = search._sieve_classes(1, 0, x + 2, primes, size + 2)
+        assert (81 in [q for q, _, _ in dense]) == (81 * 128 <= size + 2)
+        h = omega_profile(L, x, segment_size=size)
+        assert (h.counts, h.excluded) == naive_profile(L, x)
+
+
+class TestClassRoots:
+    @pytest.mark.parametrize("a,b", [
+        (1, 0), (1, 5), (1, -5), (1, 10 ** 12 + 39), (-1, 1), (-1, -1),
+        (-1, 5), (-1, -(10 ** 12) - 1), (7, -5), (-6, 10 ** 12 + 39),
+    ])
+    def test_roots_match_pow(self, a, b):
+        vmax = 10 ** 6
+        primes = arithmetic_tables(1001)
+        q, p, c = search._prime_power_classes(a, b, vmax, primes)
+        want = {(r ** k, -b * pow(a, -1, r ** k) % r ** k)
+                for r in primes.tolist() if r <= 1000 and a % r
+                for k in range(1, 20) if r ** k <= vmax}
+        assert len(q) == len(want)
+        assert set(zip(q.tolist(), c.tolist())) == want
+        assert all(qi % pi == 0 for qi, pi in zip(q.tolist(), p.tolist()))
+
+
 class TestCounts:
     def test_twin_pairs_to_100(self, twin):
         # n = 1 gives L = 3 with a single prime factor, plus the eight
