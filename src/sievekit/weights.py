@@ -28,15 +28,17 @@ For a concrete instance A = {L(n) : n <= x} the weighted sum
 decomposes exactly as x*S + E with S the zeta-diagonalized main term and
 E the remainder sum over exact R_d = |A_d| - x rho(d)/d.  The identity
 is linear in the a_d, so exact mode snapshots any real weights into
-dyadic rationals and verifies a residual of exactly zero.  Exact mode runs
-on Python integers over a common denominator and divides once per output,
-as G_sum does, in S, E and the left side alike.  E counts |A_m| for the
-joint moduli m = [d, nu1, nu2] without factoring any m: the roots of each
-lcm [nu1, nu2] come by CRT from the lattice's primes, and one chunked
-numpy pass lifts them to every m = lcm * d, so its cost follows the
-number of roots, not x.  The left side enumerates every n <= x, a chunk
-at a time: per-n sums of a_d and of lambda_nu come from strided adds over
-the residue classes n = c mod d of the roots c of L mod d, taken per
+dyadic rationals and verifies a residual of exactly zero.  S, E and the
+left side scale by one rule, _scaled: exact mode multiplies each set of
+values by the lcm of its denominators and divides once per output, as
+G_sum does (E also multiplies R_m by the lcm of the moduli); float mode
+takes the values as they are.  E counts |A_m| for the joint moduli
+m = [d, nu1, nu2] without factoring any m: the roots of each lcm
+[nu1, nu2] come by CRT from the lattice's primes, and one chunked numpy
+pass lifts them to every m = lcm * d, so its cost follows the number of
+roots, not x.  The left side enumerates every n <= x, a chunk at a time:
+per-n sums of a_d and of lambda_nu come from strided adds over the
+residue classes n = c mod d of the roots c of L mod d, taken per
 modulus, so it shares nothing with the lambda algebra or the lift in E.
 """
 
@@ -278,30 +280,30 @@ def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
     return _poly_zeta(P, xi, z_prime, support_elements(xi, z_prime), exact)
 
 
-def _require_values(name: str, values: dict, sf) -> None:
-    """DomainError naming the first support element of the pairs sf that
-    has no entry in values."""
+def _invert(L: LinearSystem, sf, values: dict, name: str, to_lambda: bool,
+            exact: bool) -> tuple[SupportLattice, dict]:
+    """(lattice, other coordinates) of the ``name`` values over the support
+    pairs sf: lambda from zeta when to_lambda, else zeta from lambda.
+    DomainError naming the first support element with no value."""
     missing = next((m for m, _ in sf if m not in values), None)
     if missing is not None:
         raise DomainError(f"no {name} value for support element {missing}")
+    lat = _lattice(L, sf)
+    return lat, _dual(lat, values, to_lambda, exact)
 
 
 def lambda_from_zeta(L: LinearSystem, xi: float, z_prime: float, zeta: dict,
                      exact: bool = True) -> dict:
     """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr).
     DomainError when zeta misses a support element."""
-    sf = support_elements(xi, z_prime)
-    _require_values("zeta", zeta, sf)
-    return _dual(_lattice(L, sf), zeta, True, exact)
+    return _invert(L, support_elements(xi, z_prime), zeta, "zeta", True, exact)[1]
 
 
 def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
                      exact: bool = True) -> dict:
     """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr).
     DomainError when lam misses a support element."""
-    sf = support_elements(xi, z_prime)
-    _require_values("lambda", lam, sf)
-    return _dual(_lattice(L, sf), lam, False, exact)
+    return _invert(L, support_elements(xi, z_prime), lam, "lambda", False, exact)[1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -309,9 +311,9 @@ def _classical(L: LinearSystem, sf: tuple, exact: bool) -> tuple[SupportLattice,
     """(lattice, zeta, lambda) of the classical zeta = 1 over the support
     pairs sf, kept for the last (L, sf, exact) only.  Callers copy zeta
     and lambda; nothing mutates a lattice."""
-    lat = _lattice(L, sf)
-    zeta = dict.fromkeys(lat.rho, Fraction(1) if exact else 1.0)
-    return lat, zeta, _dual(lat, zeta, True, exact)
+    zeta = dict.fromkeys((m for m, _ in sf), Fraction(1) if exact else 1.0)
+    lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+    return lat, zeta, lam
 
 
 def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
@@ -328,18 +330,15 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
     if zeta is None and P is None:
         # lambda_1 = sum 1/f'(m) > 0: no check needed
         lat, zeta, lam = _classical(L, tuple(sf), exact)
-        return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
-    if zeta is None:
-        zeta = _poly_zeta(P, xi, z_prime, sf, exact)
-    elif not isinstance(zeta, dict):
-        zeta = {m: zeta(m) for m in support}
     else:
-        _require_values("zeta", zeta, sf)
-    lat = _lattice(L, sf)
-    lam = _dual(lat, zeta, True, exact)
-    if lam[1] == 0:
-        raise DivisionByZero("lambda_1 = 0")
-    return LambdaSystem(L, xi, z_prime, support, dict(zeta), lam, exact, lat)
+        if zeta is None:
+            zeta = _poly_zeta(P, xi, z_prime, sf, exact)
+        elif not isinstance(zeta, dict):
+            zeta = {m: zeta(m) for m in support}
+        lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+        if lam[1] == 0:
+            raise DivisionByZero("lambda_1 = 0")
+    return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
 
 
 # ----------------------------------------------------------------------
@@ -473,44 +472,28 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     """Main term: sum over support m and d in {1} u {primes < z},
     (d, m) = 1 unless relaxed, of  (1/f'(m)) (a_d/f(d))
     (sum_{r|d} mu(r) zeta_{rm})^2, for the system S.L, exact or float
-    as S is.  Exact mode scales zeta, a_d, 1/f(p) and 1/f'(m) to
-    integers and makes one Fraction at the end.
+    as S is, with a_d/f(d), 1/f'(m) and zeta scaled by _scaled.
 
     The relaxed variant drops the coprimality condition; with Richert
-    weights the dropped terms are non-positive, so relaxed <= strict."""
-    a, a_scale = _scaled(_richert_weights(W, S.exact), S.exact)
-    zeta, z_scale = _scaled(S.zeta, S.exact)
-    f = {p: f_values(S.L, p)[0] for p in a if p > 1}
+    weights the dropped terms are non-positive, so relaxed <= strict.
+    For a prime d | m, zeta_{dm} = 0, as dm is not squarefree."""
+    # f(d) is a Fraction, f(1) = 1; dividing a float a_d by it gives a float
+    a_f, a_scale = _scaled({d: v / f_values(S.L, d)[0]
+                            for d, v in _richert_weights(W, S.exact).items()}, S.exact)
     lat = S.lattice
-    if S.exact:
-        # a_p / f(p) and 1/f'(m) = rho(m)/phi(m) as integers over the lcms
-        # of the f(p) numerators and of the phi(m)
-        f_scale = math.lcm(*(v.numerator for v in f.values()))
-        phi_scale = math.lcm(*lat.phi.values())
-        a_1 = a[1] * f_scale
-        a_over_f = {p: a[p] * v.denominator * (f_scale // v.numerator) for p, v in f.items()}
-        weight = {m: r * (phi_scale // lat.phi[m]) for m, r in lat.rho.items()}
-        scale = a_scale * f_scale * z_scale ** 2 * phi_scale
-    else:
-        # the division converts f(p) to float
-        a_1, a_over_f = a[1], {p: a[p] / v for p, v in f.items()}
-        weight = {m: r / lat.phi[m] for m, r in lat.rho.items()}
-        scale = 1
+    ratio = Fraction if S.exact else operator.truediv
+    weight, w_scale = _scaled({m: ratio(r, lat.phi[m]) for m, r in lat.rho.items()}, S.exact)
+    zeta, z_scale = _scaled(S.zeta, S.exact)
     terms = []
     for m, w in weight.items():
         zm = zeta[m]
-        # d = 1
-        terms.append(a_1 * zm * zm * w)
-        for p, a_f in a_over_f.items():
-            if not relaxed and m % p == 0:
+        # 0 takes the type of zm
+        for d, ad in a_f.items():
+            if d > 1 and m % d == 0 and not relaxed:
                 continue
-            if relaxed and m % p == 0:
-                inner = zm  # zeta_{pm} vanishes: pm is not squarefree
-            else:
-                # 0 takes the type of zm
-                inner = zm - zeta.get(p * m, 0)
-            terms.append(a_f * inner * inner * w)
-    return _total(S, terms, scale)
+            inner = zm - zeta.get(d * m, 0) if d > 1 else zm
+            terms.append(ad * inner * inner * w)
+    return _total(S, terms, a_scale * z_scale ** 2 * w_scale)
 
 
 def e_error(inst: SieveInstance, W: RichertWeights, S: LambdaSystem):

@@ -18,6 +18,7 @@ from sievekit.arithmetic import (
     from_offsets,
     is_admissible,
     is_prime,
+    omega,
     omega_L,
     parse_tuple_spec,
     rho,
@@ -354,6 +355,15 @@ class TestPrimality:
     def test_factorize_roundtrip(self):
         for n in (2 * 3 * 5 * 7, 97 * 101, 2 ** 10, 999_999_999_989):
             assert math.prod(p ** e for p, e in factorize(n)) == n
+
+    # no prime factor below the trial-division bound 10^5 is left, so the
+    # composite cofactor goes to Pollard rho: two distinct primes, a square
+    @pytest.mark.parametrize("n", [1_000_003 * 1_000_033, 7 * 1_000_003 ** 2])
+    def test_pollard_cofactor_against_sympy(self, twin, n):
+        factorint = pytest.importorskip("sympy").factorint
+        assert factorize(n) == sorted(factorint(n).items())
+        assert omega(n) == sum(factorint(n).values())
+        assert omega_L(twin, n) == omega(n) + sum(factorint(n + 2).values())
 
 
 class TestTupleSpec:

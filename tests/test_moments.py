@@ -249,6 +249,22 @@ class TestMainIntegrals:
         with pytest.raises(DomainError):
             main_integrals(6, 6 - 1.0 / 9.0, 2.0, SievePolynomial.one(6.0), J=jfun(6))
 
+    def test_log_piece_below_one_half_against_brute_quad(self, jfun):
+        # u = 9.3: after the first piece [0, 0.3], the whole piece
+        # [0.3, 1.3] starts below w = 1/2 and samples log(w) c(w) j'(u - w)
+        u, l = 9.3, 20.0
+        J = jfun(10, u)
+        knots = [u - m for m in range(1, 10)]
+
+        def brute(c):
+            val, _ = integrate.quad(lambda w: c(w) * J.j_prime(u - w), 0, u,
+                                    points=knots, limit=500)
+            return val
+
+        assert moment_J2(10, u=u, J=J).value == pytest.approx(brute(math.log), abs=1e-12)
+        i3 = main_integrals(10, u, l, SievePolynomial.one(u), J=J).i3
+        assert i3 == pytest.approx(brute(lambda w: math.log(l / w) - 1 + w / l), abs=1e-12)
+
 
 class TestResolveJ:
     """A given J must be j_kappa for the kappa asked for, solved up to u, and

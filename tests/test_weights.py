@@ -724,6 +724,21 @@ class TestJointModulusLift:
         with pytest.raises(BudgetExceeded, match=r"^joint modulus above 2\^63$"):
             e_error(SieveInstance(twin, 100), W, huge)
 
+    def test_triple_sum_above_budget_refused_before_the_pairs(self, twin):
+        # |S|^2 |a| = 918^2 * 26, about 2.2e7 triples; lambda reads that
+        # fail show that the refusal comes before the pair loop
+        class Unread(dict):
+            def __getitem__(self, key):
+                pytest.fail("the pair loop ran")
+
+        W = RichertWeights(b=3.0, y=3.0, z=100.0)
+        S = build_lambda_system(twin, 5000, 100, exact=False)
+        assert len(S.support) == 918
+        assert len(S.support) ** 2 * 26 > weights.SUPPORT_NODE_BUDGET
+        S = dataclasses.replace(S, lam=Unread(S.lam))
+        with pytest.raises(BudgetExceeded, match="^error-term triple sum above budget$"):
+            e_error(SieveInstance(twin, 1000), W, S)
+
 
 class TestResidueClassSums:
     def test_traced_peak_below_4_mb(self, twin):
