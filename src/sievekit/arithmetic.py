@@ -268,6 +268,7 @@ def H_sum(L: LinearSystem, s: float) -> tuple[float, float]:
 def omega_L(L: LinearSystem, n: int) -> int:
     """Omega(|L(n)|): prime factors of the product counted with
     multiplicity.  Raises ZeroValue when a form vanishes at n."""
+    n = _whole("n", n)
     total = 0
     for a, b in L.forms:
         v = a * n + b
@@ -279,6 +280,7 @@ def omega_L(L: LinearSystem, n: int) -> int:
 
 def omega(m: int) -> int:
     """Omega(m) for m >= 1, with multiplicity."""
+    m = _whole("m", m)
     if m < 1:
         raise ValueError("omega needs a positive integer")
     return sum(e for _, e in factorize(m))
@@ -332,7 +334,7 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted (prime, exponent) pairs of |n|, n != 0."""
-    n = abs(int(n))
+    n = abs(_whole("n", n))
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
@@ -370,7 +372,7 @@ def arithmetic_tables(limit: int) -> np.ndarray:
     """Ascending int64 array of the primes <= limit, by a boolean sieve of
     Eratosthenes; the one prime sieve behind every prime list here.
     LimitTooLarge above TABLE_CAP."""
-    limit = int(limit)
+    limit = _whole("limit", limit)
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > TABLE_CAP:

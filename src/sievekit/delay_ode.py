@@ -434,12 +434,8 @@ def tail_check(J: JFunction, u: float) -> TailReport:
     lo = k ** 0.6
     if lo >= u:
         return TailReport(-math.inf, None, 0)
-    ws = np.linspace(lo, u, TAIL_GRID + 1)[1:]
-    worst = -math.inf
-    worst_w = None
-    for w in ws:
-        viol = J.j(u - float(w)) - math.exp(-float(w) ** 2 / k)
-        if viol > worst:
-            worst = viol
-            worst_w = float(w)
+    ws = np.linspace(lo, u, TAIL_GRID + 1)[1:].tolist()
+    # keyed on the violation alone, so the first largest wins
+    worst, worst_w = max(((J.j(u - w) - math.exp(-w ** 2 / k), w) for w in ws),
+                         key=lambda vw: vw[0])
     return TailReport(worst, worst_w, len(ws))

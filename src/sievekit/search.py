@@ -21,6 +21,15 @@ prime table up to sqrt(vmax) exists, vmax < arithmetic.TABLE_CAP^2 <
 2^56, so the difference a*(m - lo) of two window values fits in int64
 as well.
 
+Every class root comes from one rule.  With A = |a| and B = -b sign(a),
+a*c = -b is A*c = B (mod q), and gcd(q, A) = 1.  The root is
+c = (B + q*t)/A for t = -B/q mod A, and t depends on q only through
+r = q mod A; so one pow(r, -1, A) per distinct r gives t_r and the exact
+e_r = (B + r*t_r)/A, and c = e_r + k*t_r (mod q) for k = q // A.  For
+A = 1 the one residue is r = 0 and c = B mod q.  No int64 term
+overflows: |e_r| <= |b|/A + r < 2^63, since |b| < 2^63 is checked and
+r <= q < 2^56; k*t_r < q, so (e_r mod q) + k*t_r < 2^57.
+
 Each window is sieved by summed logarithms, in one float32 accumulator.
 The accumulator starts at log|v| - log(2)/2 for the value v = a*m + b,
 and every class that contains m adds 64 - log p.  If k classes hit m
@@ -63,9 +72,7 @@ each possible hit as its class and k*q.  A window computes the first
 offset (c - lo) mod q of every class, adds it to k*q, keeps the
 positions inside the window and applies them all with one np.add.at.
 Handling those few-hit classes in bulk follows Oliveira e Silva,
-Herzog and Pardi, Math. Comp. 83 (2014).  For a = +-1 the roots
-c = -a*b mod q of all classes come from one array operation; other a
-take pow(a, -1, q) per class.
+Herzog and Pardi, Math. Comp. 83 (2014).
 
 A value 0 (m = -b/a, so a = +-1) is found by scalar arithmetic, set to
 1 in the window and excluded for every member that reads it.  Segments
@@ -134,11 +141,13 @@ def _prime_power_classes(a: int, b: int, vmax: int, primes: np.ndarray):
         qs.append(qs[-1][more] * ps[-1][more])
         ps.append(ps[-1][more])
     q, p = np.concatenate(qs), np.concatenate(ps)
-    if abs(a) == 1:
-        # 1/a = a mod q
-        c = np.int64(-a * b) % q
-    else:
-        c = np.array([-b * pow(a, -1, qi) % qi for qi in q.tolist()], dtype=np.int64)
+    # A*c = B (mod q) with A = |a|, B = -b*sign(a): c = e_r + (q // A)*t_r
+    # for r = q mod A, one pow per distinct r (see the module docstring)
+    A, B = abs(a), -b if a > 0 else b
+    r, which = np.unique(q % A, return_inverse=True)
+    t = [-B * pow(ri, -1, A) % A for ri in r.tolist()]
+    e = np.array([(B + ri * ti) // A for ri, ti in zip(r.tolist(), t)], dtype=np.int64)
+    c = (e[which] % q + q // A * np.array(t, dtype=np.int64)[which]) % q
     return q, p, c
 
 

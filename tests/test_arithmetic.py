@@ -302,6 +302,18 @@ class TestOmegaL:
         with pytest.raises(ZeroValue):
             omega_L(L, 3)
 
+    def test_fractional_argument_refused(self, twin):
+        # n = 2.5 gave Omega(2.5) + Omega(4.5) = 3, omega(10.5) gave 2 and
+        # omega(True) gave 0; whole floats still pass
+        with pytest.raises(ValueError, match=r"^n = 2.5 must be an integer$"):
+            omega_L(twin, 2.5)
+        with pytest.raises(ValueError, match=r"^m = 10.5 must be an integer$"):
+            omega(10.5)
+        with pytest.raises(ValueError, match=r"^m = True must be an integer$"):
+            omega(True)
+        assert omega_L(twin, 3.0) == 2
+        assert omega(10.0) == 2
+
     def test_against_naive(self, twin):
         def naive(m):
             c = 0
@@ -333,6 +345,14 @@ class TestTables:
         with pytest.raises(ValueError):
             arithmetic_tables(1)
 
+    def test_fractional_limit_refused(self):
+        # 2.5 was truncated to 2, and nan raised an untyped int() error
+        with pytest.raises(ValueError, match=r"^limit = 2.5 must be an integer$"):
+            arithmetic_tables(2.5)
+        with pytest.raises(ValueError, match=r"^limit = nan must be an integer$"):
+            arithmetic_tables(float("nan"))
+        assert arithmetic_tables(10.0).tolist() == [2, 3, 5, 7]
+
     # 3,162,278 = isqrt(10^13) + 1 is the table of the 1e13 search tests
     @pytest.mark.parametrize("limit", [2, 10, 30, 10 ** 4, 10 ** 6, 3_162_278])
     def test_matches_loop_sieve(self, limit):
@@ -355,6 +375,14 @@ class TestPrimality:
     def test_factorize_roundtrip(self):
         for n in (2 * 3 * 5 * 7, 97 * 101, 2 ** 10, 999_999_999_989):
             assert math.prod(p ** e for p, e in factorize(n)) == n
+
+    def test_factorize_fractional_refused(self):
+        # 12.9 was truncated to 12 and factored as [(2, 2), (3, 1)]
+        with pytest.raises(ValueError, match=r"^n = 12.9 must be an integer$"):
+            factorize(12.9)
+        assert factorize(12.0) == [(2, 2), (3, 1)]
+        with pytest.raises(ValueError, match=r"^cannot factor 0$"):
+            factorize(0)
 
     # no prime factor below the trial-division bound 10^5 is left, so the
     # composite cofactor goes to Pollard rho: two distinct primes, a square

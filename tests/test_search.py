@@ -205,6 +205,8 @@ class TestAgainstReference:
         ([[1, 10 ** 12 + 39]], 300),
         ([[1, 10 ** 13 + 1], [3, 2]], 300),
         ([[7, -10 ** 12], [1, 1]], 300),
+        # |a| above every q: each residue q mod |a| is its own
+        ([[1000003, 17], [1, 1]], 300),
     ])
     def test_histogram_matches_reference(self, forms, x):
         L = build_system(forms)
@@ -365,6 +367,9 @@ class TestClassRoots:
     @pytest.mark.parametrize("a,b", [
         (1, 0), (1, 5), (1, -5), (1, 10 ** 12 + 39), (-1, 1), (-1, -1),
         (-1, 5), (-1, -(10 ** 12) - 1), (7, -5), (-6, 10 ** 12 + 39),
+        # |a| of a few residues q mod |a|, and two where every q has its own
+        (2, 2 ** 45 - 1), (3, -2), (5, 10 ** 13 + 1), (10 ** 6 + 3, 17),
+        (-(2 ** 40 + 1), 5),
     ])
     def test_roots_match_pow(self, a, b):
         vmax = 10 ** 6
