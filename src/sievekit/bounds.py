@@ -123,7 +123,8 @@ class NumericBound:
         return self.b(r) * i.i1 - self.kappa * (i.i2 + i.i3)
 
     def margin_samples(self, lo_off: int = -2, hi_off: int = 5) -> list[tuple[int, float]]:
-        return [(r, self.margin(r)) for r in range(self.r + lo_off, self.r + hi_off + 1)]
+        lo, hi = _whole("lo_off", lo_off), _whole("hi_off", hi_off)
+        return [(r, self.margin(r)) for r in range(self.r + lo, self.r + hi + 1)]
 
 
 def r_bound_numeric(kappa: int, l: float | None = None, u: float | None = None,

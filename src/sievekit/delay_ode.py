@@ -76,7 +76,7 @@ class CKappa:
 
 def c_kappa(kappa: int) -> CKappa:
     """c_kappa = exp(-gamma*kappa)/Gamma(kappa+1), computed in log domain."""
-    if kappa < 1:
+    if not kappa >= 1:
         raise ValueError("kappa must be >= 1")
     log_c = -EULER_GAMMA * kappa - math.lgamma(kappa + 1)
     return CKappa(log_c, math.exp(log_c) if log_c > _LOG_TINY else None)
@@ -90,7 +90,7 @@ class SaddleParams:
     d: float = -2.0 / 9.0
 
     def __post_init__(self):
-        if self.u <= 0:
+        if not self.u > 0:
             raise ValueError("u = kappa - 1/3 - d must be positive")
 
     @property

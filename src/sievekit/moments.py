@@ -53,20 +53,22 @@ RANGE_GRID = 4001
 
 
 def log_gamma(x: float) -> float:
-    """log |Gamma(x)|; PoleError at nonpositive integers."""
+    """log |Gamma(x)|; PoleError at nonpositive integers, DomainError
+    at NaN and -inf."""
     _check_pole(x)
     return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
-    """Psi(x) = Gamma'(x)/Gamma(x); PoleError at nonpositive integers."""
+    """Psi(x) = Gamma'(x)/Gamma(x); PoleError at nonpositive integers,
+    DomainError at NaN and -inf."""
     _check_pole(x)
     return float(sc.digamma(x))
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
     """Gamma(s, x) = int_x^inf t^(s-1) e^-t dt for s, x > 0."""
-    if s <= 0 or x <= 0:
+    if not (s > 0 and x > 0):
         raise ValueError("need s > 0 and x > 0")
     tail = float(sc.gammaincc(s, x))
     if tail == 0.0:
@@ -75,6 +77,9 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
 
 
 def _check_pole(x: float):
+    # written so that NaN fails the test too
+    if not x > -math.inf:
+        raise DomainError(f"x = {x} must be a number above -inf")
     if x <= 0 and float(x).is_integer():
         raise PoleError(f"pole at {x}")
 

@@ -25,7 +25,8 @@ For a concrete instance A = {L(n) : n <= x} the weighted sum
 
     sum_n (sum_{d|L(n), d|P(z)} a_d) (sum_{nu|L(n), nu|P(z')} lambda_nu)^2
 
-decomposes exactly as x*S + E with S the zeta-diagonalized main term and
+decomposes exactly as x*S + E with S the zeta-diagonalized main term,
+one pass over the support's elements and one over its lattice steps, and
 E the remainder sum over exact R_d = |A_d| - x rho(d)/d.  The identity
 is linear in the a_d, so exact mode snapshots any real weights into
 dyadic rationals and verifies a residual of exactly zero.  S, E and the
@@ -131,8 +132,10 @@ def support_elements(xi: float, z_prime: float,
                      budget: int = SUPPORT_NODE_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
     """Squarefree m < xi with all prime factors < z', as (m, primes)
     pairs sorted by m.  BudgetExceeded when the lattice has more than
-    ``budget`` nodes; DomainError when xi or z' is not finite."""
+    ``budget`` nodes; DomainError when xi or z' is not finite, ValueError
+    unless budget is a whole number >= 0."""
     _require_finite(xi=xi, z_prime=z_prime)
+    budget = _whole("budget", budget, 0)
     if xi <= 1:
         raise SupportEmpty("xi <= 1 leaves no support")
     out = list(itertools.islice(_products(_primes_below(min(z_prime, xi)), xi), budget + 1))
@@ -338,7 +341,8 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
         lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
         if lam[1] == 0:
             raise DivisionByZero("lambda_1 = 0")
-    return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
+    return LambdaSystem(L, xi, z_prime, support, {m: zeta[m] for m in support}, dict(lam),
+                        exact, lat)
 
 
 # ----------------------------------------------------------------------
@@ -357,9 +361,11 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
     and returns Fraction(S(N), D).  The work is pi(z') * |V| steps,
     O(pi(z') sqrt(r)); ``budget`` caps that count (BudgetExceeded) before
     anything is allocated.  rho(p) = p raises ZeroFactor; rho(p) = 0
-    gives the prime weight 0.  DomainError when r is not finite.
+    gives the prime weight 0.  DomainError when r is not finite,
+    ValueError unless budget is a whole number >= 0.
     """
     _require_finite(r=r)
+    budget = _whole("budget", GSUM_WORK_BUDGET if budget is None else budget, 0)
     if r <= 1:
         raise SupportEmpty("r <= 1 leaves no support")
     primes = _primes_below(min(z_prime, r))
@@ -378,8 +384,6 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
         N = prod
     s = math.isqrt(N)
     size = 2 * s + 1 - (N // s == s)
-    if budget is None:
-        budget = GSUM_WORK_BUDGET
     if len(primes) * size > budget:
         raise BudgetExceeded(f"G-sum work {len(primes)} x {size} above budget")
     large = N // np.arange(s, 0, -1, dtype=np.int64)
@@ -474,9 +478,19 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     (sum_{r|d} mu(r) zeta_{rm})^2, for the system S.L, exact or float
     as S is, with a_d/f(d), 1/f'(m) and zeta scaled by _scaled.
 
-    The relaxed variant drops the coprimality condition; with Richert
-    weights the dropped terms are non-positive, so relaxed <= strict.
-    For a prime d | m, zeta_{dm} = 0, as dm is not squarefree."""
+    zeta is 0 off the support, so zeta_{pm} is 0 unless pm is an
+    element M, and then (p, M, m) is a lattice step.  With w_m = 1/f'(m),
+    A = sum_d a_d/f(d) and (zeta_m - zeta_pm)^2 = zeta_m^2 +
+    zeta_pm (zeta_pm - 2 zeta_m), the sum is
+
+        sum_m A w_m zeta_m^2 + sum_{steps (p, M, m), a_p != 0} (a_p/f(p))
+            [w_m zeta_M (zeta_M - 2 zeta_m) - w_M zeta_M^2],
+
+    the last term taking out the d = p that divide M.  Primes p >= z'
+    enter through A alone: the work is O(|S| + steps + pi(z)), not
+    O(|S| pi(z)).  The relaxed variant drops the coprimality condition,
+    so the last term; with Richert weights (a_p <= 0) the dropped terms
+    are non-positive, so relaxed <= strict."""
     # f(d) is a Fraction, f(1) = 1; dividing a float a_d by it gives a float
     a_f, a_scale = _scaled({d: v / f_values(S.L, d)[0]
                             for d, v in _richert_weights(W, S.exact).items()}, S.exact)
@@ -484,15 +498,13 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     ratio = Fraction if S.exact else operator.truediv
     weight, w_scale = _scaled({m: ratio(r, lat.phi[m]) for m, r in lat.rho.items()}, S.exact)
     zeta, z_scale = _scaled(S.zeta, S.exact)
-    terms = []
-    for m, w in weight.items():
-        zm = zeta[m]
-        # 0 takes the type of zm
-        for d, ad in a_f.items():
-            if d > 1 and m % d == 0 and not relaxed:
-                continue
-            inner = zm - zeta.get(d * m, 0) if d > 1 else zm
-            terms.append(ad * inner * inner * w)
+    A = sum(a_f.values()) if S.exact else math.fsum(a_f.values())
+    terms = [A * w * zeta[m] ** 2 for m, w in weight.items()]
+    for p, M, m in lat.steps:
+        if p in a_f:
+            zM = zeta[M]
+            drop = 0 if relaxed else weight[M] * zM * zM
+            terms.append(a_f[p] * (weight[m] * zM * (zM - 2 * zeta[m]) - drop))
     return _total(S, terms, a_scale * z_scale ** 2 * w_scale)
 
 

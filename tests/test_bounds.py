@@ -146,6 +146,12 @@ class TestNumeric:
             assert b > a
         # slope is exactly I1 per unit r
         assert samples[1][1] - samples[0][1] == pytest.approx(nb.integrals.i1)
+        assert nb.margin_samples(-2.0, 5.0) == samples
+        # 0.5 raised a TypeError from range
+        for lo, hi, name in [(0.5, 1, "lo_off = 0.5"), (0, math.nan, "hi_off = nan"),
+                             (True, 1, "lo_off = True")]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                nb.margin_samples(lo, hi)
 
     def test_reduced_form_identity(self, jfun):
         # with P = 1 the threshold equals the closed-form combination of

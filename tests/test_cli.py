@@ -373,7 +373,7 @@ STDOUT_SHA256 = {
     "params": ("params --kappa 100 --r 502",
                "17de1da4930e70285decc075258e36806c9ebed61c6b5d7a03c5e8a9de9e4e37"),
     "identity-float": ("identity --tuple 0,2 --x 200 --z 12 --zp 8 --xi 12 --b 2 --y 4",
-                       "f23758422944a47fe109619a381bf50c08b477cdb12a8a6af57ad417bc4e41c5"),
+                       "fc8b6892620264d29a8c688759214aee3d43e5cabe97af12ee13322fb1fe94ba"),
     "identity-exact": ("identity --tuple 0 --x 100 --z 10 --zp 10 --xi 10 --exact",
                        "9dc206127d54f68fb91a44728cca20b84bba84136460480bc7fd44cad03e2afc"),
 }

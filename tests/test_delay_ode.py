@@ -248,6 +248,12 @@ class TestCKappa:
         assert c_kappa(400).value is None
         assert c_kappa(400).log < -2000
 
+    @pytest.mark.parametrize("kappa", [0, math.nan])
+    def test_kappa_below_one_refused(self, kappa):
+        # nan gave CKappa(log=nan, value=None)
+        with pytest.raises(ValueError, match="^kappa must be >= 1$"):
+            c_kappa(kappa)
+
 
 class TestSolve:
     def test_normalization_q1(self, jfun):
@@ -564,6 +570,12 @@ class TestSaddle:
     def test_default_d_gives_canonical_u(self):
         sp = SaddleParams(40)
         assert sp.u == pytest.approx(40 - 1.0 / 9.0)
+
+    @pytest.mark.parametrize("kappa,d", [(math.nan, -2.0 / 9.0), (40, math.nan), (0, 0.0)])
+    def test_u_not_positive_refused(self, kappa, d):
+        # a nan kappa or d built a SaddleParams with u = nan
+        with pytest.raises(ValueError, match=r"^u = kappa - 1/3 - d must be positive$"):
+            SaddleParams(kappa, d)
 
     def test_agreement_with_dde(self, jfun):
         # envelope constant calibrated <= 3 (acceptance pins exactly 3)

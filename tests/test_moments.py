@@ -61,6 +61,23 @@ class TestSpecial:
             with pytest.raises(PoleError):
                 log_gamma(x)
 
+    @pytest.mark.parametrize("x", [math.nan, -math.inf])
+    def test_nan_refused(self, x):
+        # both returned nan
+        for fn in (log_gamma, digamma):
+            with pytest.raises(DomainError, match=f"^x = {x} must be a number above -inf$"):
+                fn(x)
+
+    def test_incomplete_gamma_nan_refused(self):
+        # both returned nan
+        for s, x in [(math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match=r"^need s > 0 and x > 0$"):
+                upper_incomplete_gamma(s, x)
+
+    def test_limits_at_inf_kept(self):
+        assert log_gamma(math.inf) == math.inf
+        assert upper_incomplete_gamma(1.0, math.inf) == 0.0
+
     def test_incomplete_gamma_closed_form(self):
         # Gamma(2, x) = (x + 1) e^-x
         for x in (1.0, 10.0, 100.0):

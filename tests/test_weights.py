@@ -97,6 +97,16 @@ class TestSupport:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             support_elements(10 ** 6, 10 ** 6, budget=100)
+        # 2.5 raised islice's untyped "Stop argument ... must be None or an integer"
+        for budget, message in [(2.5, "budget = 2.5 must be an integer >= 0"),
+                                (math.nan, "budget = nan must be an integer >= 0"),
+                                (-1, "budget = -1 must be an integer >= 0"),
+                                (True, "budget = True must be an integer >= 0")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                support_elements(100, 10, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            support_elements(100, 10, budget=0)
+        assert support_elements(100, 10, budget=25.0) == support_elements(100, 10)
 
     @pytest.mark.parametrize("fn", [support_elements, weights.support_u])
     @pytest.mark.parametrize("xi,zp,message", [
@@ -503,6 +513,10 @@ class TestGSum:
     def test_budget(self, twin):
         with pytest.raises(BudgetExceeded):
             G_sum(twin, 10 ** 7, 10 ** 4, budget=1000)
+        # nan ignored the budget and returned 12.93
+        for budget in (math.nan, math.inf, 75.5, -1):
+            with pytest.raises(ValueError, match=f"^budget = {budget} must be an integer >= 0$"):
+                G_sum(twin, 100, 10, budget=budget)
 
     def test_budget_zero_is_a_budget(self, twin):
         # 0 once fell back to GSUM_WORK_BUDGET and returned 12.93
@@ -811,6 +825,18 @@ class TestDecompose:
             bad = dataclasses.replace(S, lam=lam)
             assert decompose(inst, W, bad).residual != 0
 
+    def test_zeta_beyond_the_support_is_not_kept(self, twin):
+        # s_main read zeta_dm for dm off the support: the residual was
+        # -42679033167937855825/5066549580791808 for the classical lambda
+        S = build_lambda_system(twin, 30, 10, zeta={m: 1 for m in range(1, 400)})
+        classical = build_lambda_system(twin, 30, 10)
+        assert list(S.zeta) == list(S.support) and S.lam == classical.lam
+        W = RichertWeights(b=3.0, y=3.0, z=10.0)
+        inst = SieveInstance(twin, 2000)
+        dec = decompose(inst, W, S)
+        assert dec.residual == 0
+        assert dec.main == decompose(inst, W, classical).main
+
     def test_degenerate_supports(self, tuple_n):
         # lambda on {1} only, a on {1} only
         W = RichertWeights(b=3.0, y=1.5, z=2.0)
@@ -872,12 +898,55 @@ class TestDecompose:
             decompose(SieveInstance(tuple_n, 100), W, S)
 
 
+def pairwise_s_main(W, S, relaxed=False):
+    """Main term by one term (1/f'(m)) (a_d/f(d)) (zeta_m - zeta_dm)^2
+    per support element m and weighted d, skipping d | m unless relaxed:
+    the reference for the sum over lattice elements and steps."""
+    _, fp = loop_f_tables(S.L, support_elements(S.xi, S.z_prime), S.exact)
+    a_f = [(d, ad / f_values(S.L, d)[0]) for d, ad in richert_list(W, S.exact)]
+    terms = []
+    for m in S.support:
+        zm = S.zeta[m]
+        for d, af in a_f:
+            if d > 1 and m % d == 0 and not relaxed:
+                continue
+            inner = zm - S.zeta.get(d * m, 0) if d > 1 else zm
+            terms.append(af * inner * inner / fp[m])
+    return sum(terms, Fraction(0)) if S.exact else math.fsum(terms)
+
+
+MAIN_FORMS = ORACLE_FORMS[:4]
+# (b, y, z, z', xi): z > z', z = z' (the last the bench identity), z < z'
+# (lattice primes in [z, z') carry a_p = 0), xi < z', and the support {1}
+MAIN_GRID = [(2.0, 4.0, 15.0, 10, 20), (3.0, 3.0, 50.0, 8, 120), (2.5, 5.0, 40.0, 13, 300),
+             (3.0, 3.0, 10.0, 10, 10), (2.0, 4.0, 30.0, 30, 200), (3.0, 3.0, 50.0, 50, 300),
+             (2.0, 3.0, 7.0, 20, 100), (2.5, 2.5, 12.0, 30, 60), (2.0, 4.0, 30.0, 30, 12),
+             (3.0, 3.0, 100.0, 60, 40), (2.0, 3.0, 10.0, 10, 2)]
+# each set with zeta = 1, and every other one with P = 1 + w/2
+MAIN_CASES = [(*case, False) for case in MAIN_GRID] + [(*case, True) for case in MAIN_GRID[::2]]
+
+
 class TestMainTermForms:
     def test_relaxed_below_strict(self, twin):
         # dropping (d, m) = 1 only adds non-positive terms
         W = RichertWeights(b=2.0, y=4.0, z=15.0)
         S = build_lambda_system(twin, 20, 10)
         assert s_main(W, S, relaxed=True) <= s_main(W, S)
+
+    @pytest.mark.parametrize("forms", MAIN_FORMS)
+    @pytest.mark.parametrize("b,y,z,zp,xi,poly", MAIN_CASES)
+    def test_match_pairwise_oracle(self, forms, b, y, z, zp, xi, poly):
+        L = build_system(forms)
+        W = RichertWeights(b=b, y=y, z=z)
+        P = SievePolynomial((1.0, 0.5), weights.support_u(xi, zp) + 1e-9) if poly else None
+        exact = build_lambda_system(L, xi, zp, P=P)
+        flt = build_lambda_system(L, xi, zp, P=P, exact=False)
+        for relaxed in (False, True):
+            want = pairwise_s_main(W, exact, relaxed)
+            assert s_main(W, exact, relaxed) == want
+            got = s_main(W, flt, relaxed)
+            assert abs(got - pairwise_s_main(W, flt, relaxed)) <= 1e-14 * abs(got)
+            assert abs(got - float(want)) <= 1e-14 * abs(float(want))
 
 
 class TestErrorBound:
