@@ -75,16 +75,19 @@ class CKappa:
 
 
 def c_kappa(kappa: int) -> CKappa:
-    """c_kappa = exp(-gamma*kappa)/Gamma(kappa+1), computed in log domain."""
+    """c_kappa = exp(-gamma*kappa)/Gamma(kappa+1), computed in log domain.
+    ValueError unless kappa is a whole number >= 1."""
     if not kappa >= 1:
         raise ValueError("kappa must be >= 1")
+    kappa = _whole("kappa", kappa)
     log_c = -EULER_GAMMA * kappa - math.lgamma(kappa + 1)
     return CKappa(log_c, math.exp(log_c) if log_c > _LOG_TINY else None)
 
 
 @dataclass(frozen=True)
 class SaddleParams:
-    """Shift parameters for the saddle-point formula, u = kappa - 1/3 - d."""
+    """Shift parameters for the saddle-point formula, u = kappa - 1/3 - d,
+    with u > 0 and kappa a whole number, stored as an int."""
 
     kappa: int
     d: float = -2.0 / 9.0
@@ -92,6 +95,7 @@ class SaddleParams:
     def __post_init__(self):
         if not self.u > 0:
             raise ValueError("u = kappa - 1/3 - d must be positive")
+        object.__setattr__(self, "kappa", _whole("kappa", self.kappa))
 
     @property
     def u(self) -> float:

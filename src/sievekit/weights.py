@@ -61,7 +61,6 @@ from .arithmetic import (
     _roots_mod_prime,
     _rho_prime,
     _whole,
-    f_values,
     is_prime,
     roots_mod_squarefree,
     V_product,
@@ -117,11 +116,12 @@ def richert_a(W: RichertWeights, d: int) -> float:
         raise ValueError(f"d = {d} must be >= 1")
     if d == 1:
         return W.b
-    if not is_prime(d) or d >= W.z:
-        return 0.0
-    if d < W.y:
-        return -W.b
-    return -math.log(W.z / d) / math.log(W.z)
+    return _prime_a(W, d) if d < W.z and is_prime(d) else 0.0
+
+
+def _prime_a(W: RichertWeights, p: int) -> float:
+    """a_p for a prime p < z: -b below y, -log(z/p)/log z from y on."""
+    return -W.b if p < W.y else -math.log(W.z / p) / math.log(W.z)
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +287,15 @@ def _invert(L: LinearSystem, sf, values: dict, name: str, to_lambda: bool,
             exact: bool) -> tuple[SupportLattice, dict]:
     """(lattice, other coordinates) of the ``name`` values over the support
     pairs sf: lambda from zeta when to_lambda, else zeta from lambda.
-    DomainError naming the first support element with no value."""
+    DomainError naming the first support element with no value, or with
+    a float value that is NaN or infinite (a Fraction or int is finite)."""
     missing = next((m for m, _ in sf if m not in values), None)
     if missing is not None:
         raise DomainError(f"no {name} value for support element {missing}")
+    bad = next((m for m, _ in sf if not isinstance(values[m], (int, Fraction))
+                and not math.isfinite(values[m])), None)
+    if bad is not None:
+        raise DomainError(f"{name} value {values[bad]} for support element {bad} is not finite")
     lat = _lattice(L, sf)
     return lat, _dual(lat, values, to_lambda, exact)
 
@@ -326,8 +331,10 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
     (zeta_r = P(log(xi/r)/log z')), or the classical choice zeta = 1
     when neither is given.  The system keeps its support lattice; the
     classical one may share it with the previous classical system of the
-    same support.  DomainError when explicit zeta values miss a support
-    element."""
+    same support.  DomainError when zeta and P are both given, or when
+    explicit zeta values miss a support element or are not finite."""
+    if zeta is not None and P is not None:
+        raise DomainError("give zeta or P, not both")
     sf = support_elements(xi, z_prime)
     support = tuple(m for m, _ in sf)
     if zeta is None and P is None:
@@ -460,9 +467,9 @@ class Decomposition:
 
 
 def _richert_weights(W: RichertWeights, exact: bool) -> dict:
-    """{d: a_d} over d = 1 and the primes d < z with a_d != 0, the one
-    list of Richert weights that all three terms of the identity use."""
-    a = {d: richert_a(W, d) for d in (1, *_primes_below(W.z))}
+    """{d: a_d} over 1 and the primes d < z with a_d != 0, by _prime_a:
+    the one list of Richert weights that all three terms of the identity use."""
+    a = {d: _prime_a(W, d) if d > 1 else W.b for d in (1, *_primes_below(W.z))}
     return {d: Fraction(v) if exact else v for d, v in a.items() if v != 0.0}
 
 
@@ -491,11 +498,11 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     O(|S| pi(z)).  The relaxed variant drops the coprimality condition,
     so the last term; with Richert weights (a_p <= 0) the dropped terms
     are non-positive, so relaxed <= strict."""
-    # f(d) is a Fraction, f(1) = 1; dividing a float a_d by it gives a float
-    a_f, a_scale = _scaled({d: v / f_values(S.L, d)[0]
-                            for d, v in _richert_weights(W, S.exact).items()}, S.exact)
     lat = S.lattice
     ratio = Fraction if S.exact else operator.truediv
+    # a_d/f(d) = a_d/(d/rho(d)), rho(1) = 1; a prime with rho(p) = 0 adds 0
+    a_f, a_scale = _scaled({d: v / ratio(d, r) for d, v in _richert_weights(W, S.exact).items()
+                            if (r := _rho_prime(S.L, d) if d > 1 else 1)}, S.exact)
     weight, w_scale = _scaled({m: ratio(r, lat.phi[m]) for m, r in lat.rho.items()}, S.exact)
     zeta, z_scale = _scaled(S.zeta, S.exact)
     A = sum(a_f.values()) if S.exact else math.fsum(a_f.values())

@@ -56,6 +56,13 @@ class TestIdentity:
         assert data["residual"] == "0"
         assert data["residual_is_zero"] is True
 
+    def test_weighted_prime_without_density(self, capsys):
+        # rho(3) = 0 and 3 < z: exited 2 with "error: rho(3) = 0"
+        code, out, _ = run_cli(capsys, "identity", "--tuple", '{"forms": [[3,1],[3,7]]}',
+                               "--x", "2000", "--z", "20", "--zp", "3", "--xi", "10", "--exact")
+        assert code == 0
+        assert json.loads(out)["residual"] == "0"
+
     def test_float_mode(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--tuple", "0,2", "--x", "200",
                                "--z", "12", "--zp", "8", "--xi", "12",

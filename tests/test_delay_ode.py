@@ -254,6 +254,12 @@ class TestCKappa:
         with pytest.raises(ValueError, match="^kappa must be >= 1$"):
             c_kappa(kappa)
 
+    @pytest.mark.parametrize("kappa", [2.5, True, math.inf])
+    def test_kappa_not_whole_refused(self, kappa):
+        # 2.5 and True gave values, inf gave CKappa(log=-inf, value=None)
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} must be an integer$"):
+            c_kappa(kappa)
+
 
 class TestSolve:
     def test_normalization_q1(self, jfun):
@@ -576,6 +582,16 @@ class TestSaddle:
         # a nan kappa or d built a SaddleParams with u = nan
         with pytest.raises(ValueError, match=r"^u = kappa - 1/3 - d must be positive$"):
             SaddleParams(kappa, d)
+
+    @pytest.mark.parametrize("kappa", [2.5, True, math.inf])
+    def test_kappa_not_whole_refused(self, kappa):
+        # each was built
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} must be an integer$"):
+            SaddleParams(kappa)
+
+    def test_stores_kappa_as_int(self):
+        sp = SaddleParams(40.0)
+        assert type(sp.kappa) is int and sp == SaddleParams(40)
 
     def test_agreement_with_dde(self, jfun):
         # envelope constant calibrated <= 3 (acceptance pins exactly 3)

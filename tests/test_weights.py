@@ -20,7 +20,7 @@ from sievekit.errors import (
     SupportEmpty,
     ZeroFactor,
 )
-from sievekit.moments import SievePolynomial
+from sievekit.moments import SievePolynomial, main_integrals
 from sievekit.weights import (
     G_sum,
     RichertWeights,
@@ -70,6 +70,34 @@ class TestRichert:
         W = RichertWeights(b=2.0, y=10.0, z=100.0)
         for d in (1, 7, 53):
             assert richert_a(W, float(d)) == richert_a(W, np.int64(d)) == richert_a(W, d)
+
+    # y = z, a prime y, a prime z, z just above a prime, and y = z below 3
+    @pytest.mark.parametrize("y,z", [(13.0, 13.0), (7.0, 50.0), (4.0, 47.0),
+                                     (3.5, math.nextafter(31.0, math.inf)), (2.5, 2.5)])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_table_is_richert_a_over_the_primes(self, y, z, exact):
+        W = RichertWeights(b=2.0, y=y, z=z)
+        want = [(d, Fraction(v) if exact else v) for d in range(1, math.ceil(z))
+                if (v := richert_a(W, d)) != 0.0]
+        got = weights._richert_weights(W, exact)
+        assert list(got.items()) == want
+        assert all(type(v) is (Fraction if exact else float) for v in got.values())
+
+    def test_weights_read_from_the_prime_table(self, twin, monkeypatch):
+        # _richert_weights tested every prime below z again by is_prime, and
+        # s_main factored each of them by trial division in f_values
+        W = RichertWeights(b=3.0, y=5.0, z=200.0)
+        systems = [build_lambda_system(twin, 60, 20, exact=exact) for exact in (True, False)]
+        want = [(s_main(W, S), s_main(W, S, relaxed=True)) for S in systems]
+
+        def refuse(*args):
+            raise AssertionError("no call expected")
+
+        for module, name in [(weights, "is_prime"), (weights, "f_values"), (arithmetic, "is_prime"),
+                             (arithmetic, "factorize"), (arithmetic, "f_values")]:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+        assert [(s_main(W, S), s_main(W, S, relaxed=True)) for S in systems] == want
+        assert len(weights._richert_weights(W, True)) == 1 + 46
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -323,6 +351,32 @@ class TestErrorPaths:
                                Fraction(1))
         with pytest.raises(DomainError, match=f"^no {name} value for support element 35$"):
             invert(twin, 100, 10, values)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, twin, exact, bad):
+        # float mode built lambda_1 = nan and decompose returned nan; exact
+        # mode raised an untyped ValueError (nan) or OverflowError (inf)
+        zeta = {m: bad if m == 3 else 1.0 for m, _ in support_elements(30, 10)}
+        for given in (zeta.get, zeta):
+            with pytest.raises(DomainError, match=f"^zeta value {bad} for support element 3 "
+                                                  "is not finite$"):
+                build_lambda_system(twin, 30, 10, zeta=given, exact=exact)
+        with pytest.raises(DomainError, match=f"^lambda value {bad} for support element 3 "
+                                              "is not finite$"):
+            zeta_from_lambda(twin, 30, 10, zeta, exact=exact)
+        with pytest.raises(DomainError, match=f"^zeta value {bad} for support element 3 "
+                                              "is not finite$"):
+            lambda_from_zeta(twin, 30, 10, zeta, exact=exact)
+
+    def test_zeta_and_P_together_refused(self, twin, monkeypatch):
+        # P was ignored without a word
+        def refuse(*args):
+            raise AssertionError("support enumerated")
+
+        monkeypatch.setattr(weights, "support_elements", refuse)
+        with pytest.raises(DomainError, match="^give zeta or P, not both$"):
+            build_lambda_system(twin, 30, 10, zeta={1: 1}, P=SievePolynomial.one(2.0))
 
 
 def memoless_classical(L, xi, zp, exact):
@@ -825,6 +879,18 @@ class TestDecompose:
             bad = dataclasses.replace(S, lam=lam)
             assert decompose(inst, W, bad).residual != 0
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_weighted_prime_without_density_adds_nothing(self, exact):
+        # rho(3) = 0 for 3n + 1 and 3n + 7, and 3 < z: s_main raised
+        # DensityZero("rho(3) = 0"), though a_3 rho(3)/3 = 0
+        L = build_system([[3, 1], [3, 7]])
+        W = RichertWeights(b=3.0, y=3.0, z=20.0)
+        dec = decompose(SieveInstance(L, 2000), W, build_lambda_system(L, 10, 3, exact=exact))
+        if exact:
+            assert dec.residual == 0
+        else:
+            assert abs(dec.residual) <= 1e-12 * abs(dec.lhs)
+
     def test_zeta_beyond_the_support_is_not_kept(self, twin):
         # s_main read zeta_dm for dm off the support: the residual was
         # -42679033167937855825/5066549580791808 for the classical lambda
@@ -947,6 +1013,24 @@ class TestMainTermForms:
             got = s_main(W, flt, relaxed)
             assert abs(got - pairwise_s_main(W, flt, relaxed)) <= 1e-14 * abs(got)
             assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+
+
+class TestMainTermTrend:
+    """V(z') s_main tends to the margin b I1 - kappa (I2 + I3) of the bound."""
+
+    def test_ratio_falls_toward_one(self):
+        # {0}, P = 1, b = 4, y = 2 and z = xi = z'^2, so u = l = 2
+        P = SievePolynomial.one(2.0)
+        I = main_integrals(1, 2.0, 2.0, P)
+        margin = 4.0 * I.i1 - (I.i2 + I.i3)
+        assert margin == pytest.approx(3.3436, abs=1e-4)
+        L = from_offsets([0])
+        ratios = [V_product(L, zp) * s_main(RichertWeights(b=4.0, y=2.0, z=zp * zp),
+                                            build_lambda_system(L, zp * zp, zp, P=P, exact=False))
+                  / margin for zp in (10, 30, 100, 300)]
+        assert [round(r, 4) for r in ratios] == [1.1273, 1.0971, 1.0734, 1.0563]
+        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert ratios[-1] > 1
 
 
 class TestErrorBound:
