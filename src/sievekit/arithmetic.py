@@ -38,15 +38,17 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _whole(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int; ValueError unless it is a whole number, and
-    >= low when low is given.  10.0 and numpy integers pass; 1.5, nan,
-    inf and bools are refused, never truncated or read as 0 and 1."""
+    """``value`` as an int, by the one whole-number check: ValueError
+    "<name> = <value> must be an integer", or "... must be >= <low>" below
+    ``low``.  10.0 and numpy integers pass; 1.5, nan, inf and bools are
+    refused, never truncated or read as 0 and 1."""
     if (isinstance(value, (bool, np.bool_))
-            or not ((isinstance(value, int) or float(value).is_integer())
-                    and (low is None or value >= low))):
-        at_least = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} = {value} must be an integer{at_least}")
-    return int(value)
+            or not (isinstance(value, int) or float(value).is_integer())):
+        raise ValueError(f"{name} = {value} must be an integer")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} = {value} must be >= {low}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,7 @@ def rho(L: LinearSystem, d: int) -> int:
     diagnostics, e.g. checking rho(p^2) bounds), and BudgetExceeded is
     raised before any scan when a part is above RHO_SCAN_CAP.
     """
-    d = _whole("d", d)
-    if d < 1:
-        raise ValueError("modulus must be positive")
+    d = _whole("d", d, 1)
     parts = factorize(d)
     for p, e in parts:
         if e > 1 and p ** e > RHO_SCAN_CAP:
@@ -188,9 +188,7 @@ def rho(L: LinearSystem, d: int) -> int:
 
 def roots_mod_squarefree(L: LinearSystem, d: int) -> list[int]:
     """All residues c mod squarefree d >= 1 with L(c) = 0 (mod d), via CRT."""
-    d = _whole("d", d)
-    if d < 1:
-        raise ValueError(f"d = {d} must be >= 1")
+    d = _whole("d", d, 1)
     roots, mod = [0], 1
     for p, e in factorize(d):
         if e > 1:
@@ -218,9 +216,7 @@ def is_admissible(L: LinearSystem) -> AdmissibilityReport:
 def f_values(L: LinearSystem, d: int) -> tuple[Fraction, Fraction]:
     """Exact (f(d), f'(d)) for squarefree d >= 1: f(d) = d/rho(d),
     f'(d) = prod_{p|d} (f(p) - 1)."""
-    d = _whole("d", d)
-    if d < 1:
-        raise ValueError(f"d = {d} must be >= 1")
+    d = _whole("d", d, 1)
     if d == 1:
         return Fraction(1), Fraction(1)
     f = Fraction(1)
@@ -280,9 +276,7 @@ def omega_L(L: LinearSystem, n: int) -> int:
 
 def omega(m: int) -> int:
     """Omega(m) for m >= 1, with multiplicity."""
-    m = _whole("m", m)
-    if m < 1:
-        raise ValueError("omega needs a positive integer")
+    m = _whole("m", m, 1)
     return sum(e for _, e in factorize(m))
 
 
@@ -372,9 +366,7 @@ def arithmetic_tables(limit: int) -> np.ndarray:
     """Ascending int64 array of the primes <= limit, by a boolean sieve of
     Eratosthenes; the one prime sieve behind every prime list here.
     LimitTooLarge above TABLE_CAP."""
-    limit = _whole("limit", limit)
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
+    limit = _whole("limit", limit, 2)
     if limit > TABLE_CAP:
         raise LimitTooLarge(f"limit {limit} exceeds cap {TABLE_CAP}")
     sieve = np.ones(limit + 1, dtype=bool)

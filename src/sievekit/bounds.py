@@ -56,9 +56,7 @@ def choose_params(kappa: int, r: int, delta: float = 0.0, eps: float = 0.0,
     each must be finite and >= 0; then U >= 1 + 2u/l > 1.  Raises
     InfeasibleB when b <= 0, which for zero slacks happens exactly when
     r <= 2*kappa - 10/9.  kappa and r must be whole numbers (ValueError)."""
-    kappa, r = _whole("kappa", kappa, 1), _whole("r", r)
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2")
+    kappa, r = _whole("kappa", kappa, 2), _whole("r", r)
     for name, slack in (("delta", delta), ("eps", eps)):
         if not 0.0 <= slack < math.inf:
             raise ValueError(f"{name} = {slack:g} must be finite and >= 0")
@@ -94,9 +92,7 @@ def r_floor(kappa: int) -> int:
 def r_bound_explicit(kappa: int, slack: float = 0.0) -> int:
     """Smallest integer strictly above the displayed main terms plus
     slack*log(kappa), never below the floor r > 2*kappa - 10/9."""
-    kappa = _whole("kappa", kappa, 1)
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2")
+    kappa = _whole("kappa", kappa, 2)
     if not math.isfinite(slack):
         raise ValueError(f"slack = {slack:g} must be finite")
     t1, t2, t3 = explicit_terms(kappa)
@@ -132,8 +128,7 @@ def r_bound_numeric(kappa: int, l: float | None = None, u: float | None = None,
                     J: JFunction | None = None) -> NumericBound:
     """Smallest integer r with positive margin b(r)*I1 - kappa*(I2+I3),
     margin strictly increasing in r since I1 > 0."""
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2")
+    kappa = _whole("kappa", kappa, 2)
     if u is None:
         u = canonical_u(kappa)
     if l is None:

@@ -3,8 +3,8 @@
 Subcommands: jfun (solve/evaluate the delay ODE), moments (moment and
 ratio tables), bound (the r_kappa table), identity (exact decomposition
 of a concrete instance), search (Omega histograms and counts), params
-(parameter echo).  Exit codes: 0 success, 2 validation error, 3
-budget/tolerance failure.
+(parameter echo).  Exit code 0 on success; on an error its class sets
+the code, 3 for an errors.ResourceError and 2 otherwise.
 """
 
 from __future__ import annotations
@@ -23,18 +23,8 @@ from . import search as search_mod
 from . import weights as weights_mod
 from .arithmetic import parse_tuple_spec
 from .delay_ode import solve_j
-from .errors import (
-    BudgetExceeded,
-    Int64Overflow,
-    LimitTooLarge,
-    QuadratureFailure,
-    RangeOverflow,
-    SieveKitError,
-    ToleranceNotMet,
-)
+from .errors import BudgetExceeded, ResourceError, SieveKitError
 
-_BUDGET_ERRORS = (BudgetExceeded, ToleranceNotMet, QuadratureFailure,
-                  LimitTooLarge, RangeOverflow, Int64Overflow)
 # rows of the jfun grid are built in memory before they are written
 JFUN_GRID_CAP = 100_000
 
@@ -261,7 +251,7 @@ def main(argv=None) -> int:
         args.w_max = max(moments_mod.canonical_u(args.kappa), 1.0)
     try:
         return args.func(args)
-    except _BUDGET_ERRORS as exc:
+    except ResourceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (SieveKitError, ValueError) as exc:

@@ -1,8 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The class decides the CLI exit code: 3 for a ResourceError (BudgetExceeded,
+ToleranceNotMet, QuadratureFailure, LimitTooLarge, RangeOverflow,
+Int64Overflow), 2 for any other SieveKitError and for a ValueError.  A
+whole-number argument is refused by the ValueError "<name> = <value> must
+be an integer", or "<name> = <value> must be >= <low>" below its bound.
+"""
 
 
 class SieveKitError(Exception):
     """Base class for every toolkit-specific error."""
+
+
+class ResourceError(SieveKitError):
+    """A budget, cap, tolerance or number range ran out (CLI exit 3)."""
 
 
 class GcdViolation(SieveKitError):
@@ -25,19 +36,19 @@ class ZeroValue(SieveKitError):
     """A form vanishes at the requested argument, so Omega is undefined."""
 
 
-class LimitTooLarge(SieveKitError):
+class LimitTooLarge(ResourceError):
     """Requested table size exceeds the configured memory cap."""
 
 
-class ToleranceNotMet(SieveKitError):
+class ToleranceNotMet(ResourceError):
     """Interval solver could not reach the requested tolerance."""
 
 
-class RangeOverflow(SieveKitError):
+class RangeOverflow(ResourceError):
     """Value not representable in double precision; use the log-scaled API."""
 
 
-class Int64Overflow(SieveKitError):
+class Int64Overflow(ResourceError):
     """Form values over the requested range do not fit in a signed 64-bit integer."""
 
 
@@ -49,7 +60,7 @@ class OutOfValidity(SieveKitError):
     """Argument outside the validity range of an asymptotic formula."""
 
 
-class QuadratureFailure(SieveKitError):
+class QuadratureFailure(ResourceError):
     """Adaptive quadrature reported a non-converged result."""
 
 
@@ -65,7 +76,7 @@ class SupportEmpty(SieveKitError):
     """No squarefree support element exists for the given cutoffs."""
 
 
-class BudgetExceeded(SieveKitError):
+class BudgetExceeded(ResourceError):
     """Enumeration or sieving budget exhausted."""
 
 

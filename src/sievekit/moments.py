@@ -243,7 +243,6 @@ def canonical_u(kappa) -> float:
 def _moment(kappa, u, i, J, log, comparator) -> MomentReport:
     """Report of int_0^u w^i (log w if ``log``) j'(u-w) dw, u canonical when
     None; only there does ``comparator()`` supply (asymptotic, envelope)."""
-    i = _whole("i", i)
     if u is None:
         u = canonical_u(kappa)
     J = _resolve_j(kappa, u, J)
@@ -260,6 +259,7 @@ def moment_J1(kappa: int, u: float | None = None, i: int = 0,
               J: JFunction | None = None) -> MomentReport:
     """J1(i) = int_0^u w^i j'(u-w) dw, with Lemma-style comparator at the
     canonical u = kappa - 1/9 (i in {0, 1})."""
+    i = _whole("i", i)
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
 
@@ -275,8 +275,7 @@ def moment_J2(kappa: int, u: float | None = None, i: int = 0,
               J: JFunction | None = None) -> MomentReport:
     """J2(i) = int_0^u w^i log(w) j'(u-w) dw; the integrable log
     singularity at w = 0 goes to a log-weighted quadrature rule."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
+    i = _whole("i", i, 0)
 
     def comparator():
         return (0.25 * math.log(kappa) + 0.25 * digamma(0.5)
@@ -302,8 +301,7 @@ class RatioReport:
 
 def ratios(kappa: int, J: JFunction | None = None) -> RatioReport:
     """Moment ratios with their closed asymptotic forms (d = -2/9)."""
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2")
+    kappa = _whole("kappa", kappa, 2)
     J = _resolve_j(kappa, canonical_u(kappa), J)
     j10 = moment_J1(kappa, i=0, J=J).value
     j11 = moment_J1(kappa, i=1, J=J).value

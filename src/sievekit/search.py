@@ -100,14 +100,6 @@ _HALF_LOG2 = math.log(2) / 2
 _FEW_HITS = 128
 
 
-def _whole_r(r) -> int:
-    """r as an int; ValueError unless it is a whole number >= 0."""
-    r = _whole("r", r)
-    if r < 0:
-        raise ValueError(f"r = {r} must be >= 0")
-    return r
-
-
 @dataclass(frozen=True)
 class OmegaHistogram:
     """counts[k] = #{n <= x : L(n) != 0, Omega(L(n)) = k}; n with
@@ -123,7 +115,7 @@ class OmegaHistogram:
 
     def count_at_most(self, r: int) -> int:
         """#{n : Omega(L(n)) <= r}; ValueError unless r is a whole number >= 0."""
-        r = _whole_r(r)
+        r = _whole("r", r, 0)
         return sum(c for k, c in self.counts.items() if k <= r)
 
 
@@ -249,15 +241,9 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
     leaves the signed 64-bit range; ValueError when x, segment_size or
     threads is not a whole number, x < 0, segment_size < 1 or threads < 1.
     """
-    x = _whole("x", x)
-    segment_size = _whole("segment_size", segment_size)
-    threads = _whole("threads", threads)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    x = _whole("x", x, 0)
+    segment_size = _whole("segment_size", segment_size, 1)
+    threads = _whole("threads", threads, 1)
     if x > X_CAP:
         raise BudgetExceeded(f"x = {x} above cap {X_CAP}")
     if x == 0:
@@ -293,7 +279,7 @@ def omega_profile(L: LinearSystem, x: int, segment_size: int = DEFAULT_SEGMENT,
 def count_at_most(L: LinearSystem, x: int, r: int, **kwargs) -> int:
     """#{n <= x : L(n) != 0 and Omega(L(n)) <= r}; ValueError when r is
     not a whole number >= 0, before any sieving."""
-    r = _whole_r(r)
+    r = _whole("r", r, 0)
     return omega_profile(L, x, **kwargs).count_at_most(r)
 
 
@@ -312,8 +298,7 @@ class DensityReport:
 
 
 def density_report(L: LinearSystem, x: int, r: int, **kwargs) -> DensityReport:
-    if x < 3:
-        raise ValueError("x must be >= 3")
+    x = _whole("x", x, 3)
     count = count_at_most(L, x, r, **kwargs)
     comparator = x / math.log(x) ** L.kappa
     return DensityReport(L.label(), x, r, count, comparator, count / comparator)

@@ -111,9 +111,7 @@ def _require_finite(**values):
 
 def richert_a(W: RichertWeights, d: int) -> float:
     """Weight a_d per the four-case definition, for a whole d >= 1."""
-    d = _whole("d", d)
-    if d < 1:
-        raise ValueError(f"d = {d} must be >= 1")
+    d = _whole("d", d, 1)
     if d == 1:
         return W.b
     return _prime_a(W, d) if d < W.z and is_prime(d) else 0.0
@@ -267,12 +265,12 @@ def _poly_zeta(P: SievePolynomial, xi: float, z_prime: float, sf,
     u = support_u(xi, z_prime)
     if P.u < u * (1.0 - 1e-12):
         raise DomainError(f"P defined on [0,{P.u}] but u = {u:.6g}")
-    out = {}
-    for m, _ in sf:
-        w = math.log(xi / m) / math.log(z_prime)
-        val = P.star(w)
-        out[m] = Fraction(val) if exact else val
-    return out
+    ms = [m for m, _ in sf]
+    log_zp = math.log(z_prime)
+    w = np.array([math.log(xi / m) / log_zp for m in ms])
+    # P*(w): P over the whole support at once, 0 where w < 0
+    vals = np.where(w < 0, 0.0, np.polynomial.polynomial.polyval(w, np.asarray(P.coef)))
+    return dict(zip(ms, map(Fraction, vals.tolist()) if exact else vals.tolist()))
 
 
 def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,

@@ -210,7 +210,7 @@ class TestFValues:
     @pytest.mark.parametrize("d", [-15, -3, 0])
     def test_modulus_below_one_refused(self, twin, d):
         # |d| was factored, so d = -15 once gave the roots and f of 15
-        for fn in (f_values, roots_mod_squarefree):
+        for fn in (rho, f_values, roots_mod_squarefree):
             with pytest.raises(ValueError, match=f"^d = {d} must be >= 1$"):
                 fn(twin, d)
 
@@ -314,6 +314,13 @@ class TestOmegaL:
         assert omega_L(twin, 3.0) == 2
         assert omega(10.0) == 2
 
+    @pytest.mark.parametrize("m,message", [(2.5, "must be an integer"),
+                                           (True, "must be an integer"),
+                                           (0, "must be >= 1"), (-6, "must be >= 1")])
+    def test_omega_refusals(self, m, message):
+        with pytest.raises(ValueError, match=f"^m = {m} {message}$"):
+            omega(m)
+
     def test_against_naive(self, twin):
         def naive(m):
             c = 0
@@ -352,6 +359,13 @@ class TestTables:
         with pytest.raises(ValueError, match=r"^limit = nan must be an integer$"):
             arithmetic_tables(float("nan"))
         assert arithmetic_tables(10.0).tolist() == [2, 3, 5, 7]
+
+    @pytest.mark.parametrize("limit,message", [(2.5, "must be an integer"),
+                                               (True, "must be an integer"),
+                                               (1, "must be >= 2"), (-3, "must be >= 2")])
+    def test_limit_refusals(self, limit, message):
+        with pytest.raises(ValueError, match=f"^limit = {limit} {message}$"):
+            arithmetic_tables(limit)
 
     # 3,162,278 = isqrt(10^13) + 1 is the table of the 1e13 search tests
     @pytest.mark.parametrize("limit", [2, 10, 30, 10 ** 4, 10 ** 6, 3_162_278])

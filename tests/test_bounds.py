@@ -99,7 +99,7 @@ class TestExplicit:
 
     def test_fractional_kappa_refused(self):
         # r_bound_explicit(2.5) once gave 9
-        with pytest.raises(ValueError, match="^kappa = 2.5 must be an integer >= 1$"):
+        with pytest.raises(ValueError, match="^kappa = 2.5 must be an integer$"):
             r_bound_explicit(2.5)
         assert r_bound_explicit(100.0) == r_bound_explicit(np.int64(100)) == 502
 
@@ -195,8 +195,16 @@ class TestNumeric:
             r_bound_numeric(10, l=l, J=jfun(10))
 
     def test_fractional_kappa_refused(self):
-        with pytest.raises(ValueError, match="^kappa = 10.5 must be an integer >= 1$"):
+        with pytest.raises(ValueError, match="^kappa = 10.5 must be an integer$"):
             r_bound_numeric(10.5)
+
+    @pytest.mark.parametrize("kappa,message", [(2.5, "must be an integer"),
+                                               (True, "must be an integer"),
+                                               (1, "must be >= 2")])
+    def test_kappa_refusals(self, kappa, message):
+        # a kappa below 2 is refused before anything is solved
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} {message}$"):
+            r_bound_numeric(kappa)
 
 
 class TestTable:
@@ -211,7 +219,7 @@ class TestTable:
 
     def test_fractional_kappa_refused(self):
         # table([10.7]) once gave a kappa = 10 row
-        with pytest.raises(ValueError, match="^kappa = 10.7 must be an integer >= 1$"):
+        with pytest.raises(ValueError, match="^kappa = 10.7 must be an integer$"):
             table([10.7], numeric=False)
         assert [r.kappa for r in table([10.0, 20], numeric=False)] == [10, 20]
 

@@ -7,9 +7,22 @@ from pathlib import Path
 import pytest
 
 import sievekit
-from sievekit import cli, search
+from sievekit import cli, errors, search
 from sievekit.cli import main
 from sievekit.delay_ode import EULER_GAMMA
+
+
+def subclasses(cls):
+    """Every subclass of cls, recursively."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+ALL_ERRORS = sorted(set(subclasses(errors.SieveKitError)), key=lambda c: c.__name__)
+# the resource errors and their base; every other error class exits 2
+EXIT_3 = {"ResourceError", "BudgetExceeded", "ToleranceNotMet", "QuadratureFailure",
+          "LimitTooLarge", "RangeOverflow", "Int64Overflow"}
 
 
 def run_cli(capsys, *argv):
@@ -138,7 +151,7 @@ class TestSearch:
         assert code == 2
         assert out == ""
         name = flag.removeprefix("--").replace("-", "_")
-        assert err == f"error: {name} must be >= 1\n"
+        assert err == f"error: {name} = {value} must be >= 1\n"
 
 
 class TestMoments:
@@ -328,6 +341,18 @@ class TestContracts:
 
     def test_bad_args_exit_2(self, capsys):
         assert run_cli(capsys, "bound", "--kappa", "abc")[0] == 2
+
+    @pytest.mark.parametrize("exc", ALL_ERRORS + [ValueError], ids=lambda c: c.__name__)
+    def test_error_class_sets_exit_code(self, capsys, monkeypatch, exc):
+        # a new error class exits 3 only by deriving from ResourceError
+        def fail(args):
+            raise exc("refused")
+
+        monkeypatch.setattr(cli, "cmd_params", fail)
+        code, out, err = run_cli(capsys, *self.PARAMS)
+        assert code == (3 if exc.__name__ in EXIT_3 else 2)
+        assert out == ""
+        assert err == "error: refused\n"
 
     @pytest.mark.parametrize("argv", [("moments", "--atol", "1e-8"),
                                       ("bound", "--atol", "1e-8"),

@@ -251,7 +251,8 @@ class TestCKappa:
     @pytest.mark.parametrize("kappa", [0, math.nan])
     def test_kappa_below_one_refused(self, kappa):
         # nan gave CKappa(log=nan, value=None)
-        with pytest.raises(ValueError, match="^kappa must be >= 1$"):
+        message = "must be >= 1" if kappa == 0 else "must be an integer"
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} {message}$"):
             c_kappa(kappa)
 
     @pytest.mark.parametrize("kappa", [2.5, True, math.inf])
@@ -329,7 +330,7 @@ class TestSolve:
     @pytest.mark.parametrize("kappa", [2.7, 10.5, math.nan])
     def test_kappa_must_be_an_integer(self, kappa):
         # a fractional kappa was once truncated, so solve_j(2.7, 3) solved j_2
-        with pytest.raises(ValueError, match=f"^kappa = {kappa} must be an integer >= 1$"):
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} must be an integer$"):
             solve_j(kappa, 3.0)
 
     def test_whole_kappa_of_any_type(self):
@@ -496,6 +497,9 @@ class TestEval:
         J = jfun(3)
         assert J.j(-1.0) == J.j_prime(-1.0) == 0.0
         assert J.log_j(-1.0) == J.log_j_prime(-1.0) == -math.inf
+        # g(-5) gave 1.0, though q is 0 there
+        assert J.g(-5.0) == J.g(-1e-300) == 0.0
+        assert J.g(0.0) == J.g(0.5) == J.g(1.0) == 1.0
 
     def test_closed_form_values(self, jfun):
         J = jfun(1, 3.0)

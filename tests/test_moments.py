@@ -192,7 +192,7 @@ class TestMomentIndex:
     def test_range_messages(self, jfun):
         with pytest.raises(ValueError, match="^i must be 0 or 1$"):
             moment_J1(10, i=2, J=jfun(10))
-        with pytest.raises(ValueError, match="^i must be >= 0$"):
+        with pytest.raises(ValueError, match="^i = -1 must be >= 0$"):
             moment_J2(10, i=-1, J=jfun(10))
 
 
@@ -220,6 +220,13 @@ class TestRatios:
     def test_kappa_floor(self):
         with pytest.raises(ValueError):
             ratios(1)
+
+    @pytest.mark.parametrize("kappa,message", [(2.5, "must be an integer"),
+                                               (True, "must be an integer"),
+                                               (1, "must be >= 2")])
+    def test_kappa_refusals(self, kappa, message):
+        with pytest.raises(ValueError, match=f"^kappa = {kappa} {message}$"):
+            ratios(kappa)
 
 
 class TestMainIntegrals:

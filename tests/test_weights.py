@@ -126,10 +126,10 @@ class TestSupport:
         with pytest.raises(BudgetExceeded):
             support_elements(10 ** 6, 10 ** 6, budget=100)
         # 2.5 raised islice's untyped "Stop argument ... must be None or an integer"
-        for budget, message in [(2.5, "budget = 2.5 must be an integer >= 0"),
-                                (math.nan, "budget = nan must be an integer >= 0"),
-                                (-1, "budget = -1 must be an integer >= 0"),
-                                (True, "budget = True must be an integer >= 0")]:
+        for budget, message in [(2.5, "budget = 2.5 must be an integer"),
+                                (math.nan, "budget = nan must be an integer"),
+                                (-1, "budget = -1 must be >= 0"),
+                                (True, "budget = True must be an integer")]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 support_elements(100, 10, budget=budget)
         with pytest.raises(BudgetExceeded):
@@ -569,7 +569,8 @@ class TestGSum:
             G_sum(twin, 10 ** 7, 10 ** 4, budget=1000)
         # nan ignored the budget and returned 12.93
         for budget in (math.nan, math.inf, 75.5, -1):
-            with pytest.raises(ValueError, match=f"^budget = {budget} must be an integer >= 0$"):
+            message = "must be >= 0" if budget == -1 else "must be an integer"
+            with pytest.raises(ValueError, match=f"^budget = {budget} {message}$"):
                 G_sum(twin, 100, 10, budget=budget)
 
     def test_budget_zero_is_a_budget(self, twin):
