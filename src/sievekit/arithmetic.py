@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -40,10 +41,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _whole(name: str, value, low: int | None = None) -> int:
     """``value`` as an int, by the one whole-number check: ValueError
     "<name> = <value> must be an integer", or "... must be >= <low>" below
-    ``low``.  10.0 and numpy integers pass; 1.5, nan, inf and bools are
-    refused, never truncated or read as 0 and 1."""
+    ``low``.  10.0 and numpy integers pass; 1.5, nan, inf, bools and
+    anything not a real number (a string such as '3') are refused, never
+    truncated, parsed or read as 0 and 1."""
     if (isinstance(value, (bool, np.bool_))
-            or not (isinstance(value, int) or float(value).is_integer())):
+            or not (isinstance(value, int)
+                    or isinstance(value, numbers.Real) and float(value).is_integer())):
         raise ValueError(f"{name} = {value} must be an integer")
     value = int(value)
     if low is not None and value < low:

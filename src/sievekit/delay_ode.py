@@ -116,13 +116,14 @@ class JFunction:
 
     Interval (m, m+1] stores Chebyshev coefficients of the scaled
     solution g(w) = q(w) * w^(-kappa); on (0, 1] the solution q = w^kappa
-    is exact.  Each interval's coefficients are kept once, as a tuple of
-    floats in reverse order (highest degree first), the form ``_clenshaw``
-    takes.  Instances are immutable after solve apart from one cache:
+    is exact.  Each interval's coefficients are kept as a tuple of floats
+    in reverse order (highest degree first), the form ``_clenshaw`` takes,
+    and as a row of one zero-padded matrix, which the array code reads.
+    Instances are immutable after solve apart from one cache:
     ``j_prime_nodes`` stores its table per node count.
     """
 
-    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_node_tables")
+    __slots__ = ("kappa", "w_max", "tol", "degree", "log_c", "_rev", "_coef", "_node_tables")
 
     def __init__(self, kappa, w_max, tol, degree, log_c, coeffs):
         self.kappa = kappa
@@ -131,6 +132,9 @@ class JFunction:
         self.degree = degree
         self.log_c = log_c
         self._rev = [tuple(c[::-1].tolist()) for c in coeffs]
+        self._coef = np.zeros((len(coeffs), max(map(len, coeffs), default=1)))
+        for row, c in zip(self._coef, coeffs):
+            row[:len(c)] = c
         self._node_tables = {}
 
     # -- scaled representation ------------------------------------------
@@ -229,13 +233,9 @@ class JFunction:
             return table
         t, _ = gauss_legendre(n)
         k = self.kappa
-        # the coefficients as one zero-padded matrix, lowest degree first
-        coef = np.zeros((len(self._rev), max(map(len, self._rev), default=1)))
-        for row, rev in zip(coef, self._rev):
-            row[:len(rev)] = rev[::-1]
-        v = np.arange(len(coef) + 1)[:, None] + t
+        v = np.arange(len(self._coef) + 1)[:, None] + t
         log_v = np.log(v)
-        log_g = np.log(coef @ C.chebvander(2.0 * t - 1.0, coef.shape[1] - 1).T)
+        log_g = np.log(self._coef @ C.chebvander(2.0 * t - 1.0, self._coef.shape[1] - 1).T)
         lq = k * log_v[1:] + log_g
         lq_delayed = k * np.log(v[1:] - 1.0)  # g = 1 on (0, 1]
         lq_delayed[1:] += log_g[:-1]
@@ -264,7 +264,7 @@ class JFunction:
         if w <= 1.0 or not self._rev:
             return 0.0
         m = min(int(math.ceil(w)) - 1, len(self._rev))
-        coeffs = np.array(self._rev[m - 1][::-1])
+        coeffs = self._coef[m - 1]
         x = 2.0 * (w - m) - 1.0
         g = float(C.chebval(x, coeffs))
         gp = 2.0 * float(C.chebval(x, C.chebder(coeffs)))

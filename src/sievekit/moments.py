@@ -123,8 +123,9 @@ class SievePolynomial:
     def __call__(self, w: float) -> float:
         return float(np.polynomial.polynomial.polyval(w, np.asarray(self.coef)))
 
-    def star(self, w: float) -> float:
-        return 0.0 if w < 0 else self(w)
+    def star(self, w):
+        """P*(w): P(w), and 0 where w < 0; w a float or an array."""
+        return np.where(w < 0, 0.0, np.polynomial.polynomial.polyval(w, np.asarray(self.coef)))
 
     def range_on_domain(self) -> tuple[float, float]:
         """(min, max) of P on RANGE_GRID equally spaced points of [0, u]."""

@@ -268,8 +268,7 @@ def _poly_zeta(P: SievePolynomial, xi: float, z_prime: float, sf,
     ms = [m for m, _ in sf]
     log_zp = math.log(z_prime)
     w = np.array([math.log(xi / m) / log_zp for m in ms])
-    # P*(w): P over the whole support at once, 0 where w < 0
-    vals = np.where(w < 0, 0.0, np.polynomial.polynomial.polyval(w, np.asarray(P.coef)))
+    vals = P.star(w)
     return dict(zip(ms, map(Fraction, vals.tolist()) if exact else vals.tolist()))
 
 

@@ -316,6 +316,7 @@ class TestOmegaL:
 
     @pytest.mark.parametrize("m,message", [(2.5, "must be an integer"),
                                            (True, "must be an integer"),
+                                           ("12", "must be an integer"),
                                            (0, "must be >= 1"), (-6, "must be >= 1")])
     def test_omega_refusals(self, m, message):
         with pytest.raises(ValueError, match=f"^m = {m} {message}$"):
@@ -362,6 +363,7 @@ class TestTables:
 
     @pytest.mark.parametrize("limit,message", [(2.5, "must be an integer"),
                                                (True, "must be an integer"),
+                                               ("10", "must be an integer"),
                                                (1, "must be >= 2"), (-3, "must be >= 2")])
     def test_limit_refusals(self, limit, message):
         with pytest.raises(ValueError, match=f"^limit = {limit} {message}$"):

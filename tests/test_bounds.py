@@ -200,6 +200,7 @@ class TestNumeric:
 
     @pytest.mark.parametrize("kappa,message", [(2.5, "must be an integer"),
                                                (True, "must be an integer"),
+                                               ("3", "must be an integer"),
                                                (1, "must be >= 2")])
     def test_kappa_refusals(self, kappa, message):
         # a kappa below 2 is refused before anything is solved

@@ -20,9 +20,6 @@ def subclasses(cls):
 
 
 ALL_ERRORS = sorted(set(subclasses(errors.SieveKitError)), key=lambda c: c.__name__)
-# the resource errors and their base; every other error class exits 2
-EXIT_3 = {"ResourceError", "BudgetExceeded", "ToleranceNotMet", "QuadratureFailure",
-          "LimitTooLarge", "RangeOverflow", "Int64Overflow"}
 
 
 def run_cli(capsys, *argv):
@@ -350,9 +347,15 @@ class TestContracts:
 
         monkeypatch.setattr(cli, "cmd_params", fail)
         code, out, err = run_cli(capsys, *self.PARAMS)
-        assert code == (3 if exc.__name__ in EXIT_3 else 2)
+        assert code == (3 if issubclass(exc, errors.ResourceError) else 2)
         assert out == ""
         assert err == "error: refused\n"
+
+    @pytest.mark.parametrize("name", ["BudgetExceeded", "ToleranceNotMet", "QuadratureFailure",
+                                      "LimitTooLarge", "RangeOverflow", "Int64Overflow"])
+    def test_resource_errors_exit_3(self, name):
+        # the six documented exit-3 errors; every other error class exits 2
+        assert issubclass(getattr(errors, name), errors.ResourceError)
 
     @pytest.mark.parametrize("argv", [("moments", "--atol", "1e-8"),
                                       ("bound", "--atol", "1e-8"),

@@ -255,9 +255,10 @@ class TestCKappa:
         with pytest.raises(ValueError, match=f"^kappa = {kappa} {message}$"):
             c_kappa(kappa)
 
-    @pytest.mark.parametrize("kappa", [2.5, True, math.inf])
+    @pytest.mark.parametrize("kappa", [2.5, True, math.inf, "3"])
     def test_kappa_not_whole_refused(self, kappa):
-        # 2.5 and True gave values, inf gave CKappa(log=-inf, value=None)
+        # 2.5 and True gave values, inf gave CKappa(log=-inf, value=None) and
+        # '3' an untyped TypeError
         with pytest.raises(ValueError, match=f"^kappa = {kappa} must be an integer$"):
             c_kappa(kappa)
 

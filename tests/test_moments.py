@@ -223,6 +223,7 @@ class TestRatios:
 
     @pytest.mark.parametrize("kappa,message", [(2.5, "must be an integer"),
                                                (True, "must be an integer"),
+                                               ("3", "must be an integer"),
                                                (1, "must be >= 2")])
     def test_kappa_refusals(self, kappa, message):
         with pytest.raises(ValueError, match=f"^kappa = {kappa} {message}$"):
