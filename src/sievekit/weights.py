@@ -360,13 +360,20 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
     One recurrence over the floor values V = {floor(N/i)} u {0},
     N = ceil(r) - 1, serves both modes: S(v) starts at 1 for v >= 1 and
     each prime p < z' applies S(v) += S(floor(v/p)) / f'(p), reading the
-    old values, so S(N) = G.  Float mode uses 1/f'(p) = rho(p)/(p - rho(p));
-    exact mode keeps S scaled by D = prod (p - rho(p)) in Python integers
-    and returns Fraction(S(N), D).  The work is pi(z') * |V| steps,
-    O(pi(z') sqrt(r)); ``budget`` caps that count (BudgetExceeded) before
-    anything is allocated.  rho(p) = p raises ZeroFactor; rho(p) = 0
-    gives the prime weight 0.  DomainError when r is not finite,
-    ValueError unless budget is a whole number >= 0.
+    old values, so S(N) = G.  V is held as two arrays, ``small[v] = S(v)``
+    for v <= s = isqrt(N) and ``large[j] = S(N // j)`` for 1 <= j <=
+    jmax = N // (s + 1), so floor(v/p) is found by arithmetic, not by a
+    search: ``large[j*p]`` while j*p <= jmax, else ``small[(N//j) // p]``,
+    and ``small[v // p]`` by repeating each small value p times.  Only the
+    v >= p are updated (the others would add S(0) = 0), so the work is
+    sum over p of #{v in V : v >= p}.  Float mode uses 1/f'(p) =
+    rho(p)/(p - rho(p)); exact mode keeps S scaled by D = prod (p - rho(p))
+    in Python integers, multiplying both arrays by p - rho(p) and adding
+    rho(p) times the old S(floor(v/p)), and returns Fraction(S(N), D).
+    ``budget`` caps the upper bound pi(z') * |V| of the work
+    (BudgetExceeded) before anything is allocated.  rho(p) = p raises
+    ZeroFactor; rho(p) = 0 gives the prime weight 0.  DomainError when r
+    is not finite, ValueError unless budget is a whole number >= 0.
     """
     _require_finite(r=r)
     budget = _whole("budget", GSUM_WORK_BUDGET if budget is None else budget, 0)
@@ -387,22 +394,31 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
     else:
         N = prod
     s = math.isqrt(N)
-    size = 2 * s + 1 - (N // s == s)
+    jmax = s - (N // s == s)
+    size = s + 1 + jmax
     if len(primes) * size > budget:
         raise BudgetExceeded(f"G-sum work {len(primes)} x {size} above budget")
-    large = N // np.arange(s, 0, -1, dtype=np.int64)
-    V = np.concatenate((np.arange(s + 1, dtype=np.int64), large[large > s]))
-    S = np.ones(size, dtype=object if exact else float)
-    S[0] = 0
+    dtype = object if exact else float
+    small = np.ones(s + 1, dtype=dtype)
+    small[0] = 0
+    large = np.ones(jmax + 1, dtype=dtype)  # large[0] is never read
+    quot = N // np.arange(1, jmax + 1, dtype=np.int64)  # quot[j - 1] = N // j
     scale = 1
     for p, rho_p in zip(primes, rhos):
-        below = S[np.searchsorted(V, V // p)]
+        k, hi = jmax // p, min(jmax, N // p)
+        below_large = np.concatenate((large[p:k * p + 1:p], small[quot[k:hi] // p]))
+        below_small = np.repeat(small[1:s // p + 1], p)[:s + 1 - p]
         if exact:
-            S = (p - rho_p) * S + rho_p * below
+            large *= p - rho_p
+            small *= p - rho_p
             scale *= p - rho_p
+            c = rho_p
         else:
-            S += rho_p / (p - rho_p) * below
-    return Fraction(int(S[-1]), scale) if exact else float(S[-1])
+            c = rho_p / (p - rho_p)
+        large[1:hi + 1] += c * below_large
+        small[p:] += c * below_small
+    top = large[1] if jmax else small[N]
+    return Fraction(int(top), scale) if exact else float(top)
 
 
 def g_sum_report(L: LinearSystem, r: float, z_prime: float, J) -> dict:
@@ -679,8 +695,10 @@ def decompose(inst: SieveInstance, W: RichertWeights, S: LambdaSystem) -> Decomp
 
 def error_bound_analytic(L: LinearSystem, z: float, xi: float) -> float:
     """Crude analytic envelope z * xi^2 / V(z)^7 for the remainder term.
-    DomainError unless xi is finite and > 0."""
+    DomainError unless z and xi are finite and > 0."""
     _require_finite(xi=xi)
+    if z <= 0:
+        raise DomainError(f"z = {z:g} must be > 0")
     if xi <= 0:
         raise DomainError(f"xi = {xi:g} must be > 0")
     v = V_product(L, z)

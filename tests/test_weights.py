@@ -8,9 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sievekit import arithmetic, weights
-from sievekit.arithmetic import build_system, f_values, from_offsets, rho, V_product
+from sievekit.arithmetic import (
+    build_system, f_values, from_offsets, is_admissible, rho, V_product)
 from sievekit.delay_ode import solve_j
 from sievekit.errors import (
     BudgetExceeded,
@@ -526,6 +529,36 @@ def G_oracle(L, r, z_prime):
     return total
 
 
+def g_floor_oracle(L, r, z_prime, exact=False):
+    """G(r, z') by the searchsorted form of the floor-value recurrence:
+    V = {floor(N/i)} u {0} sorted, and each prime p < z' reads the old
+    S(floor(v/p)) at its binary-searched index in V."""
+    primes = arithmetic._primes_below(min(z_prime, r))
+    rhos = [arithmetic._rho_prime(L, p) for p in primes]
+    N = math.ceil(r) - 1
+    prod = 1
+    for p in primes:
+        prod *= p
+        if prod > N:
+            break
+    else:
+        N = prod
+    s = math.isqrt(N)
+    large = N // np.arange(s, 0, -1, dtype=np.int64)
+    V = np.concatenate((np.arange(s + 1, dtype=np.int64), large[large > s]))
+    S = np.ones(len(V), dtype=object if exact else float)
+    S[0] = 0
+    scale = 1
+    for p, rho_p in zip(primes, rhos):
+        below = S[np.searchsorted(V, V // p)]
+        if exact:
+            S = (p - rho_p) * S + rho_p * below
+            scale *= p - rho_p
+        else:
+            S += rho_p / (p - rho_p) * below
+    return Fraction(int(S[-1]), scale) if exact else float(S[-1])
+
+
 class TestGSum:
     @pytest.mark.parametrize("forms", [[[1, 0]], [[1, 0], [1, 2]],
                                        [[1, 0], [1, 2], [1, 6]], [[2, 1]]])
@@ -608,6 +641,44 @@ class TestGSum:
             g_sum_report(twin, 10 ** 4, 100, solve_j(3, 2.0))
         with pytest.raises(DomainError, match=r"on \[0, 1\] does not serve kappa = 2 up to u = 2"):
             g_sum_report(twin, 10 ** 4, 100, solve_j(2, 1.0))
+
+
+G_FORMS = [[[1, 0]], [[1, 0], [1, 2]], [[1, 0], [1, 2], [1, 6]], [[2, 1]]]
+
+
+class TestGSumFloorOracle:
+    """The split small/large arrays of G_sum against the searchsorted
+    recurrence: float bit for bit, exact Fraction for Fraction."""
+
+    @pytest.mark.parametrize("forms", G_FORMS)
+    @pytest.mark.parametrize("r,zp", [
+        (10, 30), (11, 30), (12, 5),          # N // isqrt(N) == isqrt(N)
+        (2, 30), (1.5, 30),                   # N = 1: no large entries
+        (2311, 12), (10 ** 5, 8),             # r above the primorial
+        (1000, 50), (200, 200), (50, 100),    # z' > sqrt(r), z' >= r
+        (1000.5, 30), (Fraction(2001, 2), 30), (Fraction(7, 3), 30),
+        (10 ** 4, 100), (10 ** 6, 1000)])     # criterion-7 sizes
+    def test_matches_floor_oracle(self, forms, r, zp):
+        L = build_system(forms)
+        got = G_sum(L, r, zp)
+        assert type(got) is float and got == g_floor_oracle(L, r, zp)
+        assert G_sum(L, r, zp, exact=True) == g_floor_oracle(L, r, zp, exact=True)
+
+    @pytest.mark.parametrize("forms", G_FORMS[:3])
+    def test_matches_floor_oracle_float_criterion_7_top(self, forms):
+        # exact G at (1e8, 1e4) takes about 20 s, so float alone here
+        L = build_system(forms)
+        assert G_sum(L, 10 ** 8, 10 ** 4) == g_floor_oracle(L, 10 ** 8, 10 ** 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=0, max_size=3, unique=True),
+           st.integers(2, 30_000), st.booleans(), st.integers(2, 400))
+    def test_float_matches_exact(self, offsets, r, half, zp):
+        L = from_offsets([0, *offsets])
+        assume(is_admissible(L).admissible)
+        r = r + 0.5 if half else r
+        exact = G_sum(L, r, zp, exact=True)
+        assert G_sum(L, r, zp) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestInstance:
@@ -1053,6 +1124,12 @@ class TestErrorBound:
     def test_non_finite_xi_refused(self, tuple_n, xi):
         with pytest.raises(DomainError, match=f"^xi = {xi} must be finite$"):
             error_bound_analytic(tuple_n, 10, xi)
+
+    @pytest.mark.parametrize("z", [0, -5])
+    def test_z_must_be_positive(self, twin, z):
+        # z = -5 gave the negative "bound" -450000.0, z = 0 gave 0.0
+        with pytest.raises(DomainError, match=f"^z = {z} must be > 0$"):
+            error_bound_analytic(twin, z, 300)
 
     @pytest.mark.parametrize("xi", [0, -5])
     def test_xi_must_be_positive(self, twin, xi):
