@@ -210,7 +210,7 @@ def _crt(ra, a: int, rb, b: int) -> list[int]:
 
 def is_admissible(L: LinearSystem) -> AdmissibilityReport:
     """Check rho(p) < p for all primes p <= kappa (sieve hypothesis)."""
-    small = tuple(p for p in _primes_upto_list(max(L.kappa, 2)) if p <= L.kappa)
+    small = _primes_below(L.kappa + 1)
     failing = next((p for p in small if _rho_prime(L, p) >= p), None)
     return AdmissibilityReport(admissible=failing is None, failing_prime=failing,
                                checked_primes=small)
@@ -290,7 +290,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit-ish integers."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -312,8 +312,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
+    # n is odd: factorize calls this only after dividing by every prime < 10^5
     x0, c = 2, 1
     while True:
         x = y = x0
@@ -330,24 +329,20 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Sorted (prime, exponent) pairs of |n|, n != 0."""
+    """Sorted (prime, exponent) pairs of |n|, n != 0: trial division by the
+    sieve's primes up to the power of two above isqrt(|n|), capped at 10^5
+    (so at most 17 table sizes), stopping once p^2 exceeds the cofactor; a
+    cofactor left above 1 goes to Miller-Rabin and Pollard rho."""
     n = abs(_whole("n", n))
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
-    for p in (2, 3, 5):
+    for p in _primes_upto_list(min(1 << math.isqrt(n).bit_length(), 100_000)):
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < 100_000:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += wheel[i]
-        i = (i + 1) % 8
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -392,5 +387,4 @@ def _primes_below(z: float) -> tuple[int, ...]:
         raise DomainError(f"cutoff z = {z} must be finite")
     if z <= 2:
         return ()
-    hi = int(math.ceil(z)) - 1 if float(z).is_integer() else int(math.floor(z))
-    return _primes_upto_list(hi)
+    return _primes_upto_list(math.ceil(z) - 1)

@@ -4,7 +4,8 @@ Subcommands: jfun (solve/evaluate the delay ODE), moments (moment and
 ratio tables), bound (the r_kappa table), identity (exact decomposition
 of a concrete instance), search (Omega histograms and counts), params
 (parameter echo).  Exit code 0 on success; on an error its class sets
-the code, 3 for an errors.ResourceError and 2 otherwise.
+the code, 3 for an errors.ResourceError and 2 otherwise, a file that
+cannot be read or written (OSError) included.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (SieveKitError, ValueError) as exc:
+    except (SieveKitError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

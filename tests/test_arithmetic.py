@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievekit import arithmetic
 from sievekit.arithmetic import (
     H_sum,
     V_product,
@@ -24,6 +25,7 @@ from sievekit.arithmetic import (
     rho,
     roots_mod_squarefree,
     RHO_SCAN_CAP,
+    _primes_below,
     _primes_upto_list,
     _roots_mod_prime,
     _rho_prime,
@@ -408,6 +410,91 @@ class TestPrimality:
         assert factorize(n) == sorted(factorint(n).items())
         assert omega(n) == sum(factorint(n).values())
         assert omega_L(twin, n) == omega(n) + sum(factorint(n + 2).values())
+
+
+def primes_near(k):
+    """The prime just below and the prime just above k."""
+    below = next(p for p in range(k, 1, -1) if is_prime(p))
+    above = next(filter(is_prime, itertools.count(k + 1)))
+    return below, above
+
+
+# the power-of-two table edges and the trial-division bound 10^5
+TABLE_EDGES = [1 << k for k in range(1, 17)] + [100_000]
+
+
+class TestFactorizeByTable:
+    """factorize trial-divides by the sieve's primes up to the power of two
+    above isqrt(|n|), capped at 10^5, and hands what is left to Pollard rho."""
+
+    @pytest.fixture(scope="class")
+    def factorint(self):
+        return pytest.importorskip("sympy").factorint
+
+    def test_every_n_below_20000(self, factorint):
+        for n in range(1, 20_000):
+            assert factorize(n) == sorted(factorint(n).items()), n
+
+    @pytest.mark.parametrize("edge", TABLE_EDGES)
+    def test_prime_powers_and_products_at_table_edges(self, factorint, edge):
+        p, q = primes_near(edge)
+        for n in (p * p, p ** 3, q * q, q ** 3, p * q, 2 * p * q, p * p * q):
+            assert factorize(n) == sorted(factorint(n).items()), n
+
+    # 99991 is the largest prime tried, 100003 the smallest one left to rho
+    @pytest.mark.parametrize("n", [99_991 ** 2, 99_991 * 100_003, 100_003 ** 2])
+    def test_either_side_of_the_trial_bound(self, factorint, n):
+        assert factorize(n) == sorted(factorint(n).items())
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_powers_of_four_and_neighbours(self, factorint, k):
+        for n in (4 ** k - 1, 4 ** k, 4 ** k + 1):
+            assert factorize(n) == sorted(factorint(n).items()), n
+
+    def test_negative(self, factorint):
+        for n in (-1, -2, -12, -99_991 * 100_003, -(4 ** 20 + 1)):
+            assert factorize(n) == sorted(factorint(-n).items()), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 15, 16, 17, 255, 256, 65_535, 65_536,
+                                   10 ** 9, 2 ** 32 - 1, 2 ** 32, 10 ** 13 + 37,
+                                   1_000_003 * 1_000_033])
+    def test_table_covers_sqrt_n(self, monkeypatch, n):
+        # factorize(6) must not sieve to 10^5: one table, sized to sqrt(n)
+        requested = []
+        tables = arithmetic.arithmetic_tables
+
+        def spy(limit):
+            requested.append(limit)
+            return tables(limit)
+
+        monkeypatch.setattr(arithmetic, "arithmetic_tables", spy)
+        _primes_upto_list.cache_clear()
+        try:
+            factorize(n)
+        finally:
+            _primes_upto_list.cache_clear()
+        assert len(requested) == 1
+        assert requested[0] <= min(max(2, 1 << math.isqrt(n).bit_length()), 100_000)
+
+    @pytest.mark.parametrize("z", [*range(-3, 40), *(k / 2 for k in range(-3, 80)),
+                                   Fraction(7, 3), Fraction(22, 7), Fraction(-5, 2),
+                                   Fraction(2001, 2), Fraction(10 ** 20 + 1, 10 ** 19),
+                                   2, 2 + 1e-9, 3, 3 - 1e-12, 1e6 + 0.5])
+    def test_primes_below_keeps_the_two_branch_rule(self, z):
+        if z <= 2:
+            expected = ()
+        else:
+            hi = int(math.ceil(z)) - 1 if float(z).is_integer() else int(math.floor(z))
+            expected = _primes_upto_list(hi)
+        assert _primes_below(z) == expected
+
+    @pytest.mark.parametrize("offsets,checked", [
+        ((0,), ()), ((0, 2), (2,)), ((0, 2, 6), (2, 3)),
+        ((0, 2, 6, 8, 12, 18, 20, 26, 30, 32), (2, 3, 5, 7)),
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (2, 3, 5, 7)),
+    ])
+    def test_admissibility_checks_the_primes_up_to_kappa(self, offsets, checked):
+        assert is_admissible(from_offsets(offsets)).checked_primes == checked
 
 
 class TestTupleSpec:

@@ -336,6 +336,19 @@ class TestContracts:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [SEARCH, IDENTITY], ids=["search", "identity"])
+    @pytest.mark.parametrize("flag", ["--tuple", "--output"])
+    def test_file_errors_exit_2(self, capsys, tmp_path, command, flag):
+        # a directory as --tuple (IsADirectoryError) and an --output inside a
+        # missing directory (FileNotFoundError) printed a traceback and exited 1;
+        # the later --tuple overrides the one in the command
+        path = tmp_path if flag == "--tuple" else tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, *command, flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_bad_args_exit_2(self, capsys):
         assert run_cli(capsys, "bound", "--kappa", "abc")[0] == 2
 
