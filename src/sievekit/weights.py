@@ -14,12 +14,20 @@ Each system enumerates its support once into a SupportLattice of integer
 tables, mu, rho and phi = prod (p - rho(p)) from one rho(p) per prime, so
 f = m/rho and f' = phi/rho.  The support is divisor-closed, so both
 directions are superset sums: one pass of acc[m/p] += acc[m] per prime p
-over the m it divides, O(|S| omega) additions in all.  The classical
-zeta = 1 makes lambda a function of (L, support, mode) alone, and a sweep
-over (z', xi) meets each support in runs of xi, so build_lambda_system
-keeps the last classical lattice and lambda (an lru_cache of size one:
-one extra system at most) and hands each caller its own lambda and zeta
-dicts; the lattice is shared, as nothing mutates it.
+over the m it divides, O(|S| omega) additions in all.
+
+A sweep over (z', xi) asks for many supports of one prime set, each the
+prefix m < xi of one sorted enumeration, so support_elements keeps the
+last enumeration and cuts each prefix by bisection.  The first call for
+a prime set enumerates exactly to xi; a repeat call past the kept bound
+B enumerates again to max(xi, 2B), so an ascending sweep enumerates
+about log2 xi times per prime set.  The classical zeta = 1 makes lambda
+a function of (L, support, mode) alone, and the support of (xi, z') is
+fixed by the number of primes below min(z', xi) and the prefix length,
+so build_lambda_system keeps the last classical lattice and lambda under
+that key and hands each caller its own lambda and zeta dicts; the
+lattice is shared, as nothing mutates it.  Each memo holds one entry:
+one enumeration and one classical system at most.
 
 For a concrete instance A = {L(n) : n <= x} the weighted sum
 
@@ -45,6 +53,7 @@ modulus, so it shares nothing with the lambda algebra or the lift in E.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -126,20 +135,50 @@ def _prime_a(W: RichertWeights, p: int) -> float:
 # squarefree support enumeration
 
 
+# The last enumeration (B, primes, pairs): the (m, primes of m) pairs for
+# every squarefree product m < B of ``primes``, sorted by m, where primes
+# are those below min(z', B) for the z' that asked.
+_enumerated = (0, (), [])
+
+
 def support_elements(xi: float, z_prime: float,
                      budget: int = SUPPORT_NODE_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
     """Squarefree m < xi with all prime factors < z', as (m, primes)
     pairs sorted by m.  BudgetExceeded when the lattice has more than
     ``budget`` nodes; DomainError when xi or z' is not finite, ValueError
     unless budget is a whole number >= 0."""
+    global _enumerated
     _require_finite(xi=xi, z_prime=z_prime)
     budget = _whole("budget", budget, 0)
     if xi <= 1:
         raise SupportEmpty("xi <= 1 leaves no support")
-    out = list(itertools.islice(_products(_primes_below(min(z_prime, xi)), xi), budget + 1))
-    if len(out) > budget:
+    bound, have, pairs = _enumerated
+    # Both prime lists are initial runs of the primes, so they agree below
+    # the cut when they count as many primes there.
+    cut = min(xi, bound)
+    if bisect.bisect_left(_primes_below(min(z_prime, xi)), cut) != bisect.bisect_left(have, cut):
+        bound = 0
+    if xi > bound:
+        grown = max(xi, 2 * bound)
+        entry = _sorted_products(z_prime, grown, budget)
+        if entry is None and grown > xi:
+            entry = _sorted_products(z_prime, xi, budget)
+        if entry is None:
+            raise BudgetExceeded("support lattice above node budget")
+        _enumerated = entry
+        pairs = entry[2]
+    n = bisect.bisect_left(pairs, xi, key=operator.itemgetter(0))
+    if n > budget:
         raise BudgetExceeded("support lattice above node budget")
-    return sorted(out)
+    return pairs[:n]
+
+
+def _sorted_products(z_prime: float, bound: float, budget: int):
+    """(bound, primes below min(z', bound), the sorted _products pairs
+    below bound), or None past ``budget`` pairs."""
+    primes = _primes_below(min(z_prime, bound))
+    pairs = list(itertools.islice(_products(primes, bound), budget + 1))
+    return None if len(pairs) > budget else (bound, primes, sorted(pairs))
 
 
 def _products(primes, bound):
@@ -311,13 +350,29 @@ def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
     return _invert(L, support_elements(xi, z_prime), lam, "lambda", False, exact)[1]
 
 
+class _Unkeyed:
+    """A value carried through an lru_cache outside its key: every
+    _Unkeyed hashes and compares alike."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return 0
+
+    def __eq__(self, other):
+        return isinstance(other, _Unkeyed)
+
+
 @functools.lru_cache(maxsize=1)
-def _classical(L: LinearSystem, sf: tuple, exact: bool) -> tuple[SupportLattice, dict, dict]:
+def _classical(L: LinearSystem, k: int, n: int, exact: bool,
+               sf: _Unkeyed) -> tuple[SupportLattice, dict, dict]:
     """(lattice, zeta, lambda) of the classical zeta = 1 over the support
-    pairs sf, kept for the last (L, sf, exact) only.  Callers copy zeta
-    and lambda; nothing mutates a lattice."""
-    zeta = dict.fromkeys((m for m, _ in sf), Fraction(1) if exact else 1.0)
-    lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+    pairs sf.value, kept for the last (L, k, n, exact) only: the support
+    is the first n squarefree products of the first k primes.  Callers
+    copy zeta and lambda; nothing mutates a lattice."""
+    zeta = dict.fromkeys((m for m, _ in sf.value), Fraction(1) if exact else 1.0)
+    lat, lam = _invert(L, sf.value, zeta, "zeta", True, exact)
     return lat, zeta, lam
 
 
@@ -336,7 +391,8 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
     support = tuple(m for m, _ in sf)
     if zeta is None and P is None:
         # lambda_1 = sum 1/f'(m) > 0: no check needed
-        lat, zeta, lam = _classical(L, tuple(sf), exact)
+        k = len(_primes_below(min(z_prime, xi)))
+        lat, zeta, lam = _classical(L, k, len(sf), exact, _Unkeyed(sf))
     else:
         if zeta is None:
             zeta = _poly_zeta(P, xi, z_prime, sf, exact)

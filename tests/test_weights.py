@@ -155,6 +155,100 @@ class TestSupport:
             weights.support_u(xi, 10)
 
 
+def primes_below(c):
+    """Primes p < c by trial division."""
+    return [p for p in range(2, math.ceil(c)) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+DFS = weights._products
+
+
+def support_oracle(xi, zp):
+    """The support straight from the DFS, by no memo."""
+    return sorted(DFS(primes_below(min(zp, xi)), xi))
+
+
+PREFIX_XIS = (1.5, 2, 2.5, 3, 7.5, 8, 29, 30, 30.5, 31, 64, 100, 150.25, 200)
+PREFIX_ZPS = (1.5, 2, 2.5, 3, 7, 12, 13, 30, 30.5, 60, 1000)
+
+
+class TestSupportPrefix:
+    """support_elements serves each xi as a prefix of one kept enumeration."""
+
+    @pytest.fixture
+    def bounds(self, monkeypatch):
+        """The bound of every enumeration, from an empty memo on."""
+        monkeypatch.setattr(weights, "_enumerated", (0, (), []))
+        seen = []
+        inner = weights._products
+
+        def counting(primes, bound):
+            seen.append(bound)
+            return inner(primes, bound)
+
+        monkeypatch.setattr(weights, "_products", counting)
+        return seen
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_oracle_in_any_order(self, bounds, order):
+        calls = [(xi, zp) for zp in PREFIX_ZPS for xi in PREFIX_XIS]
+        if order == "descending":
+            calls.reverse()
+        elif order == "shuffled":
+            calls = [calls[i] for i in np.random.default_rng(31).permutation(len(calls))]
+        for xi, zp in calls:
+            assert support_elements(xi, zp) == support_oracle(xi, zp), (xi, zp)
+
+    def test_mutating_a_result_leaves_the_next(self, bounds):
+        want = support_oracle(100, 10)
+        got = support_elements(100, 10)
+        got.clear()
+        assert support_elements(100, 10) == want
+        got = support_elements(50, 10)
+        got[0] = (4, (2, 2))
+        got.append((1000, ()))
+        assert support_elements(50, 10) == support_oracle(50, 10)
+        assert support_elements(100, 10) == want
+
+    def test_budget_counts_the_prefix_only(self, bounds):
+        support_elements(200, 10)
+        count = len(support_oracle(100, 10))
+        assert len(support_oracle(200, 10)) > count
+        assert support_elements(100, 10, budget=count) == support_oracle(100, 10)
+        with pytest.raises(BudgetExceeded, match="^support lattice above node budget$"):
+            support_elements(100, 10, budget=count - 1)
+        with pytest.raises(BudgetExceeded):
+            support_elements(100, 10, budget=0)
+
+    def test_doubling_past_the_budget_enumerates_to_xi(self, bounds):
+        support_elements(100, 30)
+        count = len(support_oracle(150, 30))
+        assert len(support_oracle(200, 30)) > count
+        assert support_elements(150, 30, budget=count) == support_oracle(150, 30)
+        assert bounds == [100, 200, 150]
+        with pytest.raises(BudgetExceeded):
+            support_elements(160, 30, budget=count)
+        assert support_elements(120, 30) == support_oracle(120, 30)
+
+    def test_first_call_enumerates_to_xi_and_repeats_double(self, bounds):
+        support_elements(100, 10)
+        support_elements(150.5, 30)     # new primes below min(z', xi)
+        support_elements(120, 30.5)     # the same primes: a prefix
+        support_elements(160, 31)       # the same primes below 150.5: doubled
+        support_elements(40, 1000)      # 31 is prime: new again
+        assert bounds == [100, 150.5, 301.0, 40]
+
+    def test_criterion_6_order_enumerates_log_xi_times_per_z_prime(self, bounds):
+        per_zp = {}
+        for zp in range(2, 51):
+            before = len(bounds)
+            for xi in range(2, 201):
+                support_elements(xi, zp)
+            per_zp[zp] = len(bounds) - before
+        assert max(per_zp.values()) <= math.ceil(math.log2(200)) + 1
+        assert per_zp[31] == 0  # the primes below 31 are those below 30
+
+
 class TestZetaLambda:
     def test_hand_inversion(self, tuple_n):
         S = build_lambda_system(tuple_n, 4, 4)
@@ -468,6 +562,15 @@ class TestClassicalMemo:
         gc.collect()
         assert held() is None
         assert weights._classical.cache_info().currsize <= 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_classical_memo_tells_equal_sized_supports_apart(twin, exact):
+    # (8, 8) and (11, 6) both have 6 elements, over 4 and over 3 primes
+    for xi, zp in ((8, 8), (11, 6), (8, 8)):
+        S = build_lambda_system(twin, xi, zp, exact=exact)
+        assert S.support == tuple(m for m, _ in support_oracle(xi, zp))
+        assert bits(S.lam) == bits(memoless_classical(twin, xi, zp, exact))
 
 
 class TestEnumerateOnce:
