@@ -310,6 +310,16 @@ class TestContracts:
         assert code == 3
         assert "error" in err
 
+    def test_density_overflow_exit_3(self, capsys):
+        # x / log(x)^400 printed an OverflowError traceback and exited 1
+        offsets = ",".join(str(h) for h in range(0, 800, 2))
+        code, out, err = run_cli(capsys, "search", "--tuple", offsets, "--x", "1000",
+                                 "--r", "10", "--density")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_int64_overflow_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "search", "--tuple",
                                '{"forms": [[4611686018427387904, 1]]}', "--x", "10")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import warnings
 from collections import Counter
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from sievekit import search
 from sievekit.arithmetic import arithmetic_tables, build_system, from_offsets
 from sievekit.cli import main
-from sievekit.errors import BudgetExceeded, Int64Overflow, LimitTooLarge
+from sievekit.errors import BudgetExceeded, Int64Overflow, LimitTooLarge, RangeOverflow
 from sievekit.search import (
+    OmegaHistogram,
     _shift_groups,
     count_at_most,
     density_report,
@@ -168,12 +170,47 @@ class TestProfile:
         h = omega_profile(twin, 100, segment_size=7.0, threads=np.int64(2))
         assert h == omega_profile(twin, 100, segment_size=7, threads=2)
 
-    def test_thread_invariance(self, twin):
+    def test_thread_invariance(self, twin, monkeypatch):
+        # eight cores, so that the 4- and 8-way splits run on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         base = omega_profile(twin, 100_000, threads=1)
         for t in (4, 8):
             h = omega_profile(twin, 100_000, threads=t)
             assert h.counts == base.counts
             assert h.excluded == base.excluded
+
+    def test_threads_capped_at_cpu_count(self, twin, monkeypatch):
+        # threads = 100,000 in segments of 1 asked the pool for 100,000 OS
+        # threads; the stand-in pool records its size and starts none
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(search, "ThreadPoolExecutor", SerialPool)
+        base = omega_profile(twin, 1000, segment_size=1)
+        # cores, threads, segment size and the pool size: the least of the
+        # cores, the threads and the 1000 / size segments
+        for cpus, threads, size, workers in [(3, 100_000, 1, 3), (8, 4, 1, 4),
+                                             (8, 100_000, 1, 8), (8, 100_000, 200, 5)]:
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            h = omega_profile(twin, 1000, segment_size=size, threads=threads)
+            assert sizes[-1] == workers and h == base, (cpus, threads, size)
+        # one core, or a core count the system cannot tell: no pool at all
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert omega_profile(twin, 1000, segment_size=1, threads=100_000) == base
+        assert len(sizes) == 4
 
     def test_budget(self, twin):
         with pytest.raises(BudgetExceeded):
@@ -235,6 +272,125 @@ class TestAgainstReference:
         assert main(["search", "--tuple", "0,2", "--x", "1000000", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == TWIN_1E6_JSON_SHA256
+
+
+def record_starts(monkeypatch):
+    """Wrap search._constant_start: the returned dict maps the end values
+    (v0, v1) of each window to whether it took the constant start."""
+    taken = {}
+    start = search._constant_start
+
+    def recorded(v0, v1):
+        s = start(v0, v1)
+        taken[v0, v1] = s is not None
+        return s
+
+    monkeypatch.setattr(search, "_constant_start", recorded)
+    return taken
+
+
+class TestWindowStart:
+    """Windows that start from one constant log and windows that take the
+    log of every value, each with the wheel of the prime powers dividing
+    27,720, against the oracles."""
+
+    def test_both_starts_in_one_call(self, monkeypatch):
+        taken = record_starts(monkeypatch)
+        L = from_offsets([0, 2])
+        want = reference_profile(L, 20_000)
+        for threads in (1, 2):
+            taken.clear()
+            h = omega_profile(L, 20_000, segment_size=997, threads=threads)
+            assert (h.counts, h.excluded) == want, threads
+            # the window from 1 spreads by log 999, the last by log(20002/19941)
+            assert taken == {**taken, (1, 999): False, (19_941, 20_002): True}
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_log_spread_at_the_edge(self, monkeypatch, over):
+        # n + b in windows of 997 values: v0 = 1536 spreads log(2532/1536) =
+        # 0.49982 and takes the constant start, v0 = 1535 spreads 0.50008 and
+        # does not; 1536 = 2^9 * 3 sits where the constant is 1/4 above log v
+        size, v0 = 997, 1535 if over else 1536
+        spread = math.log((v0 + size - 1) / v0)
+        assert abs(spread - 0.5) < 1e-3 and (spread > 0.5) == over
+        taken = record_starts(monkeypatch)
+        L = build_system([[1, v0 - 1]])
+        want = reference_profile(L, 5 * size)
+        for threads in (1, 2):
+            h = omega_profile(L, 5 * size, segment_size=size, threads=threads)
+            assert (h.counts, h.excluded) == want, threads
+        assert taken[v0, v0 + size - 1] != over
+
+    @pytest.mark.parametrize("forms,starts", [
+        ([[5, 7]], {False, True}),
+        # a < 0: positive values that fall, spread at most log(1e6 / 916000)
+        # in all, and values that are all negative
+        ([[-7, 10 ** 6]], {True}),
+        ([[-1, -3]], {False, True}),
+        # a zero at n = 5000, and sign changes between integers
+        ([[1, -5000]], {False, True}),
+        ([[3, -10_000]], {False, True}),
+        ([[-2, 9001], [1, 1]], {False, True}),
+    ])
+    def test_signs_and_zeros(self, monkeypatch, forms, starts):
+        taken = record_starts(monkeypatch)
+        L = build_system(forms)
+        want = reference_profile(L, 12_000)
+        for size in (997, 1 << 17):
+            for threads in (1, 2):
+                h = omega_profile(L, 12_000, segment_size=size, threads=threads)
+                assert (h.counts, h.excluded) == want, (size, threads)
+        assert set(taken.values()) == starts
+        # a window holding a zero or a sign change never takes the constant
+        assert not any(t for (v0, v1), t in taken.items() if v0 * v1 <= 0)
+
+    def test_groups_have_their_own_wheels(self, monkeypatch):
+        # a drops its primes from the wheel: 3 takes out 3 and 9, 2310 every
+        # prime of 27,720
+        periods = []
+        build = search._sieve_classes
+
+        def recorded(*args):
+            classes = build(*args)
+            periods.append(len(classes[0]))
+            return classes
+
+        monkeypatch.setattr(search, "_sieve_classes", recorded)
+        L = build_system([[1, 0], [1, 2], [3, 1], [5, 2], [7, -3], [2310, 1]])
+        want = reference_profile(L, 20_000)
+        for size in (997, 1 << 17):
+            for threads in (1, 2):
+                periods.clear()
+                h = omega_profile(L, 20_000, segment_size=size, threads=threads)
+                assert (h.counts, h.excluded) == want, (size, threads)
+                assert sorted(periods) == [1, 27_720 // 9, 27_720 // 7, 27_720 // 5, 27_720]
+
+    @pytest.mark.parametrize("a,b", [(1, 0), (3, 1), (-7, 100), (2, 2 ** 45 - 1)])
+    def test_wheel_sums_its_classes(self, a, b):
+        vmax = 10 ** 6
+        primes = arithmetic_tables(1001)
+        wheel, dense, (fq, _, _, _, _) = search._sieve_classes(a, b, vmax, primes, 1000)
+        q, p, c = search._prime_power_classes(a, b, vmax, primes)
+        small = 27_720 % q == 0
+        want = np.zeros(math.lcm(*q[small].tolist()))
+        for qi, pi, ci in zip(q[small].tolist(), p[small].tolist(), c[small].tolist()):
+            want[ci::qi] += 64 - math.log(pi)
+        assert wheel.dtype == np.float32
+        assert np.array_equal(wheel, want.astype(np.float32))
+        # every other class is a strided add or in the scatter template
+        rest = sorted([qi for qi, _, _ in dense] + fq.tolist())
+        assert rest == sorted(q[~small].tolist())
+
+    @pytest.mark.parametrize("period", [1, 7, 30])
+    def test_wheel_runs_tile_the_window(self, period):
+        wheel = np.arange(period, dtype=np.float32) + 1
+        for start in sorted({0, 1, period // 2, period - 1}):
+            for n in sorted({1, 5, period - start, period, 3 * period + 2}):
+                acc = np.zeros(n, np.float32)
+                for out, part in search._wheel_runs(acc, wheel, start):
+                    out += part
+                assert np.array_equal(acc, wheel[(start + np.arange(n)) % period]), \
+                    (start, n)
 
 
 class TestShiftGroups:
@@ -357,7 +513,7 @@ class TestFloat32Margin:
         L = from_offsets([0, 2])
         x = 30_000
         primes = arithmetic_tables(math.isqrt(x + 2) + 1)
-        dense, _ = search._sieve_classes(1, 0, x + 2, primes, size + 2)
+        _, dense, _ = search._sieve_classes(1, 0, x + 2, primes, size + 2)
         assert (81 in [q for q, _, _ in dense]) == (81 * 128 <= size + 2)
         h = omega_profile(L, x, segment_size=size)
         assert (h.counts, h.excluded) == naive_profile(L, x)
@@ -458,6 +614,23 @@ class TestDensity:
         b = density_report(twin, 10 ** 4, 4)
         assert a.ratio > 0
         assert b.ratio > a.ratio
+
+    def test_unrepresentable_comparator_refused_before_sieving(self, monkeypatch):
+        # x / log(x)^kappa overflowed with an untyped OverflowError after the
+        # search; for kappa = 368, log(973)^368 = 1.74e308 is the last that fits
+        def search_stub(L, x, **kwargs):
+            return OmegaHistogram(L, x, {}, 0)
+
+        def no_search(L, x, **kwargs):
+            raise AssertionError("sieved")
+
+        L = from_offsets(range(0, 736, 2))
+        monkeypatch.setattr(search, "omega_profile", search_stub)
+        assert 0 < density_report(L, 973, 10).comparator < 1e-305
+        monkeypatch.setattr(search, "omega_profile", no_search)
+        for x in (974, 1000):
+            with pytest.raises(RangeOverflow, match=f"x = {x}, kappa = 368"):
+                density_report(L, x, 10)
 
     def test_comparator_value(self, tuple_n):
         rep = density_report(tuple_n, 10 ** 4, 1)
