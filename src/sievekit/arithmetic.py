@@ -16,7 +16,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,11 +56,16 @@ def _whole(name: str, value, low: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Validated product of linear forms with cached discriminant."""
+    """Validated product of linear forms.  Equality and hashing read
+    (forms, kappa) only; the discriminant ``delta`` is multiplied out on
+    first use and kept on the instance."""
 
     forms: tuple[tuple[int, int], ...]
     kappa: int
-    delta: int
+
+    @cached_property
+    def delta(self) -> int:
+        return _discriminant(self.forms)
 
     def value(self, n: int) -> int:
         """Product of all form values at n."""
@@ -104,10 +109,13 @@ def build_system(forms) -> LinearSystem:
     for a, b in canon:
         if math.gcd(a, b) != 1:
             raise GcdViolation(f"gcd({a},{b}) = {math.gcd(a, b)} != 1")
-    delta = _discriminant(canon)
-    if delta == 0:
+    # The discriminant is zero iff a factor is: some a_i = 0, or some
+    # a_t b_s = a_s b_t, which for coprime pairs with a != 0 holds iff
+    # (a_s, b_s) = +-(a_t, b_t).  So no product is formed here.
+    signed = {(a, b) if a > 0 else (-a, -b) for a, b in canon}
+    if any(a == 0 for a, _ in canon) or len(signed) < len(canon):
         raise ZeroDiscriminant("discriminant is zero (zero or proportional forms)")
-    return LinearSystem(tuple(canon), len(canon), delta)
+    return LinearSystem(tuple(canon), len(canon))
 
 
 def _discriminant(forms) -> int:
@@ -123,7 +131,8 @@ def _discriminant(forms) -> int:
 
 
 def discriminant(L: LinearSystem) -> int:
-    """Exact discriminant prod a_i * prod_{t<s} (a_t b_s - a_s b_t)."""
+    """Exact discriminant prod a_i * prod_{t<s} (a_t b_s - a_s b_t),
+    computed on first use and kept on L."""
     return L.delta
 
 

@@ -24,10 +24,15 @@ B enumerates again to max(xi, 2B), so an ascending sweep enumerates
 about log2 xi times per prime set.  The classical zeta = 1 makes lambda
 a function of (L, support, mode) alone, and the support of (xi, z') is
 fixed by the number of primes below min(z', xi) and the prefix length,
-so build_lambda_system keeps the last classical lattice and lambda under
+so build_lambda_system keeps each classical lattice and lambda under
 that key and hands each caller its own lambda and zeta dicts; the
-lattice is shared, as nothing mutates it.  Each memo holds one entry:
-one enumeration and one classical system at most.
+lattice is shared, as nothing mutates it.  The enumeration memo holds
+one enumeration; the classical memo holds every classical system asked
+for under that enumeration's prime set, one per distinct support, and
+is emptied when an enumeration for another prime set starts.  A sweep
+over z' between two primes thus inverts each support once, at the cost
+of keeping those systems: about 15 MB for one float system at
+z' = 1000, xi = 10^5.
 
 For a concrete instance A = {L(n) : n <= x} the weighted sum
 
@@ -54,7 +59,6 @@ modulus, so it shares nothing with the lambda algebra or the lift in E.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -140,6 +144,13 @@ def _prime_a(W: RichertWeights, p: int) -> float:
 # are those below min(z', B) for the z' that asked.
 _enumerated = (0, (), [])
 
+# The classical (zeta = 1) systems requested under that enumeration's
+# prime set: (L, k, n, exact) -> (support, lattice, zeta, lambda), the
+# support being the first n squarefree products of the first k primes.
+# support_elements empties it when it starts enumerating another prime
+# set, so it holds one entry per distinct classical support of the set.
+_classical_memo = {}
+
 
 def support_elements(xi: float, z_prime: float,
                      budget: int = SUPPORT_NODE_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
@@ -158,6 +169,7 @@ def support_elements(xi: float, z_prime: float,
     cut = min(xi, bound)
     if bisect.bisect_left(_primes_below(min(z_prime, xi)), cut) != bisect.bisect_left(have, cut):
         bound = 0
+        _classical_memo.clear()
     if xi > bound:
         grown = max(xi, 2 * bound)
         entry = _sorted_products(z_prime, grown, budget)
@@ -219,7 +231,10 @@ class LambdaSystem:
     Values are Fractions in exact mode, floats otherwise; the mode also
     fixes the arithmetic of s_main, e_error, weighted_sum_direct and
     decompose on this system.  lambda_1 != 0 is required; normalized()
-    returns lambda'_nu = lambda_nu / lambda_1.
+    returns lambda'_nu = lambda_nu / lambda_1.  zeta and lam are the
+    system's own dicts.  A classical system shares its support tuple and
+    lattice with the classical memo, which keeps them until an
+    enumeration for another prime set starts.
     """
 
     L: LinearSystem
@@ -350,30 +365,22 @@ def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
     return _invert(L, support_elements(xi, z_prime), lam, "lambda", False, exact)[1]
 
 
-class _Unkeyed:
-    """A value carried through an lru_cache outside its key: every
-    _Unkeyed hashes and compares alike."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return 0
-
-    def __eq__(self, other):
-        return isinstance(other, _Unkeyed)
-
-
-@functools.lru_cache(maxsize=1)
-def _classical(L: LinearSystem, k: int, n: int, exact: bool,
-               sf: _Unkeyed) -> tuple[SupportLattice, dict, dict]:
-    """(lattice, zeta, lambda) of the classical zeta = 1 over the support
-    pairs sf.value, kept for the last (L, k, n, exact) only: the support
-    is the first n squarefree products of the first k primes.  Callers
-    copy zeta and lambda; nothing mutates a lattice."""
-    zeta = dict.fromkeys((m for m, _ in sf.value), Fraction(1) if exact else 1.0)
-    lat, lam = _invert(L, sf.value, zeta, "zeta", True, exact)
-    return lat, zeta, lam
+def _classical(L: LinearSystem, k: int, sf, exact: bool):
+    """(support, lattice, zeta, lambda) of the classical zeta = 1 over the
+    support pairs sf, the first len(sf) squarefree products of the first
+    k primes: from _classical_memo, or inverted by _invert and kept there
+    until support_elements starts an enumeration for another prime set.
+    The memo's memory is the sum of its systems' (about 15 MB for a float
+    system of 25,704 elements).  Callers copy zeta and lambda; nothing
+    mutates a lattice or a support tuple."""
+    key = (L, k, len(sf), exact)
+    held = _classical_memo.get(key)
+    if held is None:
+        support = tuple(m for m, _ in sf)
+        zeta = dict.fromkeys(support, Fraction(1) if exact else 1.0)
+        lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+        held = _classical_memo[key] = support, lat, zeta, lam
+    return held
 
 
 def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
@@ -381,27 +388,29 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
                         exact: bool = True) -> LambdaSystem:
     """Assemble a LambdaSystem from explicit zeta values, a polynomial
     (zeta_r = P(log(xi/r)/log z')), or the classical choice zeta = 1
-    when neither is given.  The system keeps its support lattice; the
-    classical one may share it with the previous classical system of the
-    same support.  DomainError when zeta and P are both given, or when
-    explicit zeta values miss a support element or are not finite."""
+    when neither is given.  The system keeps its support lattice.  A
+    classical system comes from _classical, so it shares its lattice with
+    every classical system of the same (L, support, mode) built since the
+    last enumeration of another prime set, and the memo keeps it that
+    long.  DomainError when zeta and P are both given, or when explicit
+    zeta values miss a support element or are not finite."""
     if zeta is not None and P is not None:
         raise DomainError("give zeta or P, not both")
     sf = support_elements(xi, z_prime)
-    support = tuple(m for m, _ in sf)
     if zeta is None and P is None:
         # lambda_1 = sum 1/f'(m) > 0: no check needed
         k = len(_primes_below(min(z_prime, xi)))
-        lat, zeta, lam = _classical(L, k, len(sf), exact, _Unkeyed(sf))
-    else:
-        if zeta is None:
-            zeta = _poly_zeta(P, xi, z_prime, sf, exact)
-        elif not isinstance(zeta, dict):
-            zeta = {m: zeta(m) for m in support}
-        lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
-        if lam[1] == 0:
-            raise DivisionByZero("lambda_1 = 0")
-    return LambdaSystem(L, xi, z_prime, support, {m: zeta[m] for m in support}, dict(lam),
+        support, lat, zeta, lam = _classical(L, k, sf, exact)
+        return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
+    support = tuple(m for m, _ in sf)
+    if zeta is None:
+        zeta = _poly_zeta(P, xi, z_prime, sf, exact)
+    elif not isinstance(zeta, dict):
+        zeta = {m: zeta(m) for m in support}
+    lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+    if lam[1] == 0:
+        raise DivisionByZero("lambda_1 = 0")
+    return LambdaSystem(L, xi, z_prime, support, {m: zeta[m] for m in support}, lam,
                         exact, lat)
 
 

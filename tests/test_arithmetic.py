@@ -95,6 +95,32 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="list of integer pairs"):
             build_system(forms)
 
+    def test_validity_without_the_discriminant(self, monkeypatch):
+        # kappa = 368 has 67,528 pair factors: build, == and hash must not
+        # multiply them out
+        def refuse(forms):
+            raise AssertionError("discriminant multiplied out")
+
+        monkeypatch.setattr(arithmetic, "_discriminant", refuse)
+        L, M = from_offsets(range(0, 736, 2)), from_offsets(range(0, 736, 2))
+        assert L.kappa == 368 and L == M and hash(L) == hash(M)
+        for forms in ([[1, 0], [1, 0]], [[1, 1], [-1, -1]], [[3, -2], [-3, 2]],
+                      [[1, 0], [3, 1], [5, 2], [-3, -1]], [[0, 1]], [[2, 1], [0, -1]]):
+            with pytest.raises(ZeroDiscriminant):
+                build_system(forms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda f: math.gcd(*f) == 1),
+                min_size=1, max_size=5))
+def test_zero_discriminant_iff_product_zero(forms):
+    want = arithmetic._discriminant(forms)
+    if want == 0:
+        with pytest.raises(ZeroDiscriminant):
+            build_system(forms)
+    else:
+        assert build_system(forms).delta == want
+
 
 class TestDiscriminant:
     @pytest.mark.parametrize("forms,expected", [

@@ -492,7 +492,8 @@ MEMO_FORMS = ([[1, 0]], [[1, 0], [1, 2]], [[3, 1], [5, -1]])
 
 
 class TestClassicalMemo:
-    """build_lambda_system keeps the last classical (zeta = 1) system."""
+    """build_lambda_system keeps the classical (zeta = 1) systems of the
+    current prime set."""
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
@@ -551,17 +552,34 @@ class TestClassicalMemo:
             assert bits(S.lam) == bits(want.lam)
             assert S.lattice is not want.lattice
 
-    def test_holds_one_system_at_most(self, twin):
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """No enumeration and no classical system held."""
+        monkeypatch.setattr(weights, "_enumerated", (0, (), []))
+        monkeypatch.setattr(weights, "_classical_memo", {})
+
+    def test_held_while_the_prime_set_lasts(self, fresh, twin):
         S = build_lambda_system(twin, 30, 12)
-        assert build_lambda_system(twin, 30, 13).lattice is S.lattice
         held = weakref.ref(S.lattice)
         del S
-        gc.collect()
-        assert held() is not None  # the memo holds the last system
-        build_lambda_system(twin, 31, 12)
+        # primes below 12, 13 and min(12, 10) are one set: 4 supports
+        for xi, zp in ((31, 12), (20, 12), (30, 13), (10, 12), (31, 13)):
+            build_lambda_system(twin, xi, zp)
+            gc.collect()
+            assert held() is not None
+        assert len(weights._classical_memo) == 4
+        build_lambda_system(twin, 30, 14)  # 13 joins the primes
         gc.collect()
         assert held() is None
-        assert weights._classical.cache_info().currsize <= 1
+        assert len(weights._classical_memo) == 1
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_reuses_a_system_across_z_prime(self, twin, exact):
+        first = build_lambda_system(twin, 30, 12, exact=exact)
+        build_lambda_system(twin, 31, 12, exact=exact)
+        third = build_lambda_system(twin, 30, 13, exact=exact)
+        assert third.lattice is first.lattice
+        assert bits(third.lam) == bits(first.lam) and third.lam is not first.lam
 
 
 @pytest.mark.parametrize("exact", [True, False])
