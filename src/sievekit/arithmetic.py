@@ -4,11 +4,16 @@ functions f and f', singular products, Mertens-type sums and the prime sieve.
 A system is a product of integer linear forms a_i*n + b_i.  The local
 density rho(d) counts roots of the product mod d; for squarefree d it is
 multiplicative, and f(d) = d/rho(d), f' = f * mu (Dirichlet convolution
-on squarefree arguments, so f'(p) = f(p) - 1).
+on squarefree arguments, so f'(p) = f(p) - 1).  rho(p) = kappa for every
+prime p above M = max(A, 2AB), A = max |a_i| and B = max |b_i|: M bounds
+each factor a_i and a_t b_s - a_s b_t of the discriminant, and none is 0,
+so no p > M divides it.  Every loop over the primes below a cutoff reads
+rho(p) from _rho_below, which counts roots only at the primes up to M.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -152,15 +157,20 @@ def parse_tuple_spec(text: str) -> LinearSystem:
     elif text.startswith("{"):
         data = json.loads(text)
     else:
-        return from_offsets(int(part) for part in text.split(","))
+        try:
+            return from_offsets([int(part) for part in text.split(",")])
+        except ValueError:
+            raise ValueError(f"tuple spec {text!r} is not a JSON file path, a JSON object "
+                             '{"forms": ...} or comma-separated integer offsets') from None
     return build_system(data.get("forms") if isinstance(data, dict) else None)
 
 
-# Bounded so that long sweeps over many systems do not grow without
-# limit; 2**16 entries hold the 9,592 primes below 1e5 of six systems.
-@lru_cache(maxsize=1 << 16)
-def _rho_prime(L: LinearSystem, p: int) -> int:
-    return len(_roots_mod_prime(L, p))
+def _rho_below(L: LinearSystem, z: float) -> list[int]:
+    """rho(p) for the primes p < z, aligned with _primes_below(z), by the module's rule."""
+    primes = _primes_below(z)
+    A = max(abs(a) for a, _ in L.forms)
+    k = bisect.bisect_right(primes, max(A, 2 * A * max(abs(b) for _, b in L.forms)))
+    return [len(_roots_mod_prime(L, p)) for p in primes[:k]] + [L.kappa] * (len(primes) - k)
 
 
 def _roots_mod_prime(L: LinearSystem, p: int):
@@ -169,12 +179,7 @@ def _roots_mod_prime(L: LinearSystem, p: int):
     A form with p | a_i contributes no root: gcd(a_i, b_i) = 1 forces
     p to miss b_i, so a_i*n + b_i is never divisible by p.
     """
-    roots = set()
-    for a, b in L.forms:
-        if a % p == 0:
-            continue
-        roots.add((-b) * pow(a, -1, p) % p)
-    return sorted(roots)
+    return sorted({-b * pow(a, -1, p) % p for a, b in L.forms if a % p})
 
 
 def rho(L: LinearSystem, d: int) -> int:
@@ -191,11 +196,9 @@ def rho(L: LinearSystem, d: int) -> int:
     for p, e in parts:
         if e > 1 and p ** e > RHO_SCAN_CAP:
             raise BudgetExceeded(f"rho scan of {p}^{e} above cap {RHO_SCAN_CAP}")
-    out = 1
-    for p, e in parts:
-        q = p ** e
-        out *= _rho_prime(L, p) if e == 1 else sum(1 for n in range(q) if L.value(n) % q == 0)
-    return out
+    return math.prod(len(_roots_mod_prime(L, p)) if e == 1
+                     else sum(L.value(n) % q == 0 for q in [p ** e] for n in range(q))
+                     for p, e in parts)
 
 
 def roots_mod_squarefree(L: LinearSystem, d: int) -> list[int]:
@@ -220,7 +223,7 @@ def _crt(ra, a: int, rb, b: int) -> list[int]:
 def is_admissible(L: LinearSystem) -> AdmissibilityReport:
     """Check rho(p) < p for all primes p <= kappa (sieve hypothesis)."""
     small = _primes_below(L.kappa + 1)
-    failing = next((p for p in small if _rho_prime(L, p) >= p), None)
+    failing = next((p for p, r in zip(small, _rho_below(L, L.kappa + 1)) if r >= p), None)
     return AdmissibilityReport(admissible=failing is None, failing_prime=failing,
                                checked_primes=small)
 
@@ -236,7 +239,7 @@ def f_values(L: LinearSystem, d: int) -> tuple[Fraction, Fraction]:
     for p, e in factorize(d):
         if e > 1:
             raise ValueError("f is defined on squarefree arguments")
-        r = _rho_prime(L, p)
+        r = len(_roots_mod_prime(L, p))
         if r == 0:
             raise DensityZero(f"rho({p}) = 0")
         f *= Fraction(p, r)
@@ -252,8 +255,7 @@ def V_product(L: LinearSystem, z: float, exact: bool = False):
     """
     one = Fraction(1) if exact else 1.0
     out = one
-    for p in _primes_below(z):
-        r = _rho_prime(L, p)
+    for p, r in zip(_primes_below(z), _rho_below(L, z)):
         if r == p:
             raise ZeroFactor(f"rho({p}) = {p}")
         out *= one - one * r / p
@@ -269,7 +271,7 @@ def H_sum(L: LinearSystem, s: float) -> tuple[float, float]:
     """
     if s <= 0:
         raise DomainError(f"s = {s:g} must be > 0")
-    value = math.fsum(_rho_prime(L, p) * math.log(p) / p for p in _primes_below(s))
+    value = math.fsum(r * math.log(p) / p for p, r in zip(_primes_below(s), _rho_below(L, s)))
     return value, value - L.kappa * math.log(s)
 
 

@@ -71,8 +71,8 @@ from .arithmetic import (
     LinearSystem,
     _crt,
     _primes_below,
+    _rho_below,
     _roots_mod_prime,
-    _rho_prime,
     _whole,
     is_prime,
     roots_mod_squarefree,
@@ -253,23 +253,19 @@ class LambdaSystem:
         return {nu: v / l1 for nu, v in self.lam.items()}
 
 
-def _lattice(L: LinearSystem, sf) -> SupportLattice:
-    """Lattice over the (m, primes) pairs of support_elements, with
-    rho(m) = rho(m/p) rho(p) and phi(m) = phi(m/p) phi(p).  The smallest
-    prime with rho(p) = 0 raises DensityZero, with rho(p) = p (f'(p) = 0)
-    DivisionByZero."""
+def _lattice(L: LinearSystem, sf, cut: float) -> SupportLattice:
+    """Lattice over the (m, primes) pairs of support_elements, products of
+    every prime below ``cut``, with rho(m) = rho(m/p) rho(p) and phi(m) =
+    phi(m/p) phi(p).  The smallest prime with rho(p) = 0 raises
+    DensityZero, with rho(p) = p (f'(p) = 0) DivisionByZero."""
+    rho_p = dict(zip(_primes_below(cut), _rho_below(L, cut)))
+    for p, r in rho_p.items():
+        if r in (0, p):
+            raise DensityZero(f"rho({p}) = 0") if r == 0 else DivisionByZero(f"f'({p}) = 0")
     rho, phi = {1: 1}, {1: 1}
     for m, pf in sf[1:]:
         p = pf[-1]
-        if m == p:
-            r = _rho_prime(L, p)
-            if r == 0:
-                raise DensityZero(f"rho({p}) = 0")
-            if r == p:
-                raise DivisionByZero(f"f'({p}) = 0")
-            rho[p], phi[p] = r, p - r
-        else:
-            rho[m], phi[m] = rho[m // p] * rho[p], phi[m // p] * phi[p]
+        rho[m], phi[m] = rho[m // p] * rho_p[p], phi[m // p] * (p - rho_p[p])
     return SupportLattice({m: (-1) ** len(pf) for m, pf in sf}, rho, phi,
                           tuple(sorted((p, m, m // p) for m, pf in sf for p in pf)))
 
@@ -334,12 +330,12 @@ def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
     return _poly_zeta(P, xi, z_prime, support_elements(xi, z_prime), exact)
 
 
-def _invert(L: LinearSystem, sf, values: dict, name: str, to_lambda: bool,
+def _invert(L: LinearSystem, sf, cut: float, values: dict, name: str, to_lambda: bool,
             exact: bool) -> tuple[SupportLattice, dict]:
     """(lattice, other coordinates) of the ``name`` values over the support
-    pairs sf: lambda from zeta when to_lambda, else zeta from lambda.
-    DomainError naming the first support element with no value, or with
-    a float value that is NaN or infinite (a Fraction or int is finite)."""
+    pairs sf of the primes below ``cut``: lambda from zeta when to_lambda,
+    else zeta from lambda.  DomainError naming the first element with no
+    value or with a float value that is NaN or infinite."""
     missing = next((m for m, _ in sf if m not in values), None)
     if missing is not None:
         raise DomainError(f"no {name} value for support element {missing}")
@@ -347,7 +343,7 @@ def _invert(L: LinearSystem, sf, values: dict, name: str, to_lambda: bool,
                 and not math.isfinite(values[m])), None)
     if bad is not None:
         raise DomainError(f"{name} value {values[bad]} for support element {bad} is not finite")
-    lat = _lattice(L, sf)
+    lat = _lattice(L, sf, cut)
     return lat, _dual(lat, values, to_lambda, exact)
 
 
@@ -355,30 +351,32 @@ def lambda_from_zeta(L: LinearSystem, xi: float, z_prime: float, zeta: dict,
                      exact: bool = True) -> dict:
     """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr).
     DomainError when zeta misses a support element."""
-    return _invert(L, support_elements(xi, z_prime), zeta, "zeta", True, exact)[1]
+    return _invert(L, support_elements(xi, z_prime), min(z_prime, xi), zeta, "zeta", True,
+                   exact)[1]
 
 
 def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
                      exact: bool = True) -> dict:
     """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr).
     DomainError when lam misses a support element."""
-    return _invert(L, support_elements(xi, z_prime), lam, "lambda", False, exact)[1]
+    return _invert(L, support_elements(xi, z_prime), min(z_prime, xi), lam, "lambda", False,
+                   exact)[1]
 
 
-def _classical(L: LinearSystem, k: int, sf, exact: bool):
+def _classical(L: LinearSystem, cut: float, sf, exact: bool):
     """(support, lattice, zeta, lambda) of the classical zeta = 1 over the
-    support pairs sf, the first len(sf) squarefree products of the first
-    k primes: from _classical_memo, or inverted by _invert and kept there
-    until support_elements starts an enumeration for another prime set.
-    The memo's memory is the sum of its systems' (about 15 MB for a float
-    system of 25,704 elements).  Callers copy zeta and lambda; nothing
-    mutates a lattice or a support tuple."""
-    key = (L, k, len(sf), exact)
+    support pairs sf, the first len(sf) squarefree products of the k primes
+    below ``cut``, keyed by k: from _classical_memo, or inverted by _invert
+    and kept there until support_elements starts an enumeration for another
+    prime set.  The memo's memory is the sum of its systems' (about 15 MB
+    for a float system of 25,704 elements).  Callers copy zeta and lambda;
+    nothing mutates a lattice or a support tuple."""
+    key = (L, len(_primes_below(cut)), len(sf), exact)
     held = _classical_memo.get(key)
     if held is None:
         support = tuple(m for m, _ in sf)
         zeta = dict.fromkeys(support, Fraction(1) if exact else 1.0)
-        lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+        lat, lam = _invert(L, sf, cut, zeta, "zeta", True, exact)
         held = _classical_memo[key] = support, lat, zeta, lam
     return held
 
@@ -399,15 +397,14 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
     sf = support_elements(xi, z_prime)
     if zeta is None and P is None:
         # lambda_1 = sum 1/f'(m) > 0: no check needed
-        k = len(_primes_below(min(z_prime, xi)))
-        support, lat, zeta, lam = _classical(L, k, sf, exact)
+        support, lat, zeta, lam = _classical(L, min(z_prime, xi), sf, exact)
         return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
     support = tuple(m for m, _ in sf)
     if zeta is None:
         zeta = _poly_zeta(P, xi, z_prime, sf, exact)
     elif not isinstance(zeta, dict):
         zeta = {m: zeta(m) for m in support}
-    lat, lam = _invert(L, sf, zeta, "zeta", True, exact)
+    lat, lam = _invert(L, sf, min(z_prime, xi), zeta, "zeta", True, exact)
     if lam[1] == 0:
         raise DivisionByZero("lambda_1 = 0")
     return LambdaSystem(L, xi, z_prime, support, {m: zeta[m] for m in support}, lam,
@@ -445,7 +442,7 @@ def G_sum(L: LinearSystem, r: float, z_prime: float, exact: bool = False,
     if r <= 1:
         raise SupportEmpty("r <= 1 leaves no support")
     primes = _primes_below(min(z_prime, r))
-    rhos = [_rho_prime(L, p) for p in primes]
+    rhos = _rho_below(L, min(z_prime, r))
     for p, rho_p in zip(primes, rhos):
         if rho_p == p:
             raise ZeroFactor(f"rho({p}) = {p}: f'({p}) = 0 pole")
@@ -579,8 +576,9 @@ def s_main(W: RichertWeights, S: LambdaSystem, relaxed: bool = False):
     lat = S.lattice
     ratio = Fraction if S.exact else operator.truediv
     # a_d/f(d) = a_d/(d/rho(d)), rho(1) = 1; a prime with rho(p) = 0 adds 0
-    a_f, a_scale = _scaled({d: v / ratio(d, r) for d, v in _richert_weights(W, S.exact).items()
-                            if (r := _rho_prime(S.L, d) if d > 1 else 1)}, S.exact)
+    rho = dict(zip((1, *_primes_below(W.z)), (1, *_rho_below(S.L, W.z))))
+    a_f, a_scale = _scaled({d: v / ratio(d, rho[d]) for d, v in
+                            _richert_weights(W, S.exact).items() if rho[d]}, S.exact)
     weight, w_scale = _scaled({m: ratio(r, lat.phi[m]) for m, r in lat.rho.items()}, S.exact)
     zeta, z_scale = _scaled(S.zeta, S.exact)
     A = sum(a_f.values()) if S.exact else math.fsum(a_f.values())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sievekit.arithmetic import arithmetic_tables, from_offsets
@@ -32,9 +34,12 @@ def classical_lambda_sweep():
         for zp in range(2, 51):
             for xi in range(2, 201):
                 S = build_lambda_system(L, xi, zp)
-                l1 = abs(S.lam[1])
+                # |n/d| > |n1/d1| on integers: |n| d1 > |n1| d
+                n1, d1 = S.lam[1].as_integer_ratio()
+                n1 = abs(n1)
                 violations[offsets, zp, xi] = sum(
-                    1 for v in S.lam.values() if abs(v) > l1)
+                    1 for n, d in map(Fraction.as_integer_ratio, S.lam.values())
+                    if abs(n) * d1 > n1 * d)
     return violations
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +28,8 @@ from sievekit.arithmetic import (
     RHO_SCAN_CAP,
     _primes_below,
     _primes_upto_list,
+    _rho_below,
     _roots_mod_prime,
-    _rho_prime,
 )
 from sievekit.errors import (
     BudgetExceeded,
@@ -36,8 +37,10 @@ from sievekit.errors import (
     GcdViolation,
     LimitTooLarge,
     ZeroDiscriminant,
+    ZeroFactor,
     ZeroValue,
 )
+from sievekit.weights import G_sum
 
 
 def brute_rho(L, d):
@@ -54,6 +57,37 @@ def brute_rho(L, d):
             prod = prod * ((a * n + b) % d) % d
         count += int(np.count_nonzero(prod == 0))
     return count
+
+
+def brute_rho_table(L, z):
+    """[#{0 <= n < p : p | L(n)} for the primes p < z], read off the
+    factorizations of the form values |a n + b| at every n < z by a
+    smallest-prime-factor table: p counts the n < p among the n where it
+    divides a value, or where some value is 0.  The same definition as
+    brute_rho, at a cost of about z log z, not of the sum of the p."""
+    n = np.arange(z, dtype=np.int64)
+    top = max(abs(a) * z + abs(b) for a, b in L.forms)
+    spf = np.zeros(top + 1, dtype=np.int64)
+    for q in range(2, math.isqrt(top) + 1):
+        if spf[q] == 0:
+            run = spf[q * q::q]
+            run[run == 0] = q
+    spf[spf == 0] = np.flatnonzero(spf == 0)
+    zero, keys = set(), []
+    for a, b in L.forms:
+        v = np.abs(a * n + b)
+        zero.update(n[v == 0].tolist())
+        at, v = n[v > 1], v[v > 1]
+        while len(v):
+            q = spf[v]
+            keys.append(at * top + q)
+            v //= q
+            at, v = at[v > 1], v[v > 1]
+    keys = np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+    at, q = keys // top, keys % top
+    keep = (q > at) & ~np.isin(at, list(zero))
+    count = np.bincount(q[keep], minlength=z)
+    return [int(count[p]) + sum(1 for m in zero if m < p) for p in _primes_below(z)]
 
 
 def loop_tables(limit):
@@ -142,19 +176,18 @@ class TestRho:
         assert rho(twin, 1) == 1
 
     def test_scan_vs_roots_paths(self, twin):
-        # the root-solving path against an independent residue scan
-        for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                  53, 59, 61, 67, 71, 97, 101]:
-            assert _rho_prime(twin, p) == brute_rho(twin, p)
+        # the prime-table rule and the root-solving path against an
+        # independent residue scan
+        for p, r in zip(_primes_below(102), _rho_below(twin, 102)):
+            assert r == brute_rho(twin, p)
             assert len(_roots_mod_prime(twin, p)) == brute_rho(twin, p)
 
-    def test_rho_equals_kappa_off_discriminant(self, primes_10k):
+    def test_rho_equals_kappa_off_discriminant(self):
         for offs in ([0, 2], [0, 2, 6], [0, 4, 6, 10]):
             L = from_offsets(offs)
-            for p in primes_10k[primes_10k < 1000]:
-                p = int(p)
+            for p, r in zip(_primes_below(1000), _rho_below(L, 1000)):
                 if p > L.kappa and L.delta % p != 0:
-                    assert _rho_prime(L, p) == L.kappa
+                    assert r == L.kappa
 
     def test_non_squarefree_direct_count(self, twin):
         # documented extension: direct root count mod d
@@ -192,6 +225,93 @@ def test_rho_multiplicative(ps, qs):
     d2 = math.prod(qs)
     assert rho(L, d1) * rho(L, d2) == rho(L, d1 * d2)
     assert rho(L, d1 * d2) == brute_rho(L, d1 * d2)
+
+
+# systems for the rule tests, each with a prime p <= M = max(A, 2AB) where
+# rho(p) < kappa; the last has M = 3.5e14, so every rho(p) is a root count
+RULE_SYSTEMS = [
+    [[1, 0], [1, 2]],
+    [[1, 0], [1, 2], [1, 6]],
+    [[1, 0], [1, 2 * 1009]],          # the factor 2018 has the prime 1009 > 1000
+    [[2, 1]],                         # rho(2) = 0
+    [[1, 0], [1, 2], [1, 4]],         # rho(3) = 3
+    [[3, 1], [5, -2]],                # rho(2) = 2
+    [[3, 1], [5, -1]],
+    [[-7, 3], [1, 5], [4, -1]],       # a negative a
+    [[1, 1], [-1, 1]],                # M = 2 = |1*1 - (-1)*1| divides Delta
+    [[2, 2 ** 45 - 1], [3, 7], [5, -11]],
+]
+
+
+class TestRhoRule:
+    """_rho_below: kappa above M = max(A, 2AB), root counts below."""
+
+    @pytest.mark.parametrize("forms", RULE_SYSTEMS, ids=str)
+    def test_equals_brute_rho_below_1e4(self, forms):
+        L = build_system(forms)
+        assert _rho_below(L, 10_000) == [brute_rho(L, p) for p in _primes_below(10_000)]
+
+    @pytest.mark.parametrize("forms", RULE_SYSTEMS[:3] + RULE_SYSTEMS[7:9], ids=str)
+    def test_brute_table_equals_brute_rho(self, forms):
+        L = build_system(forms)
+        assert brute_rho_table(L, 10_000) == [brute_rho(L, p) for p in _primes_below(10_000)]
+
+    def test_no_root_count_above_m(self, monkeypatch):
+        # {0, 6, 12}: M = max(1, 2 * 1 * 12) = 24, so every prime above 24
+        # takes rho = kappa without solving for its roots
+        L = from_offsets([0, 6, 12])
+        real = arithmetic._roots_mod_prime
+
+        def below_m(L, p):
+            assert p <= 24, f"roots counted at {p} > M"
+            return real(L, p)
+
+        def values():
+            return [(V_product(L, 10_000, exact), G_sum(L, 10 ** 6, 100, exact))
+                    for exact in (False, True)]
+
+        monkeypatch.setattr(arithmetic, "_roots_mod_prime", below_m)
+        got = values()
+        assert _rho_below(L, 100) == brute_rho_table(L, 100)
+        monkeypatch.undo()
+        assert got == values()
+
+
+def reference_V(rhos, z, exact):
+    """prod_{p<z} (1 - rho(p)/p) by the per-prime loop over the given
+    rho(p); ZeroFactor at the first rho(p) = p."""
+    one = Fraction(1) if exact else 1.0
+    out = one
+    for p, r in zip(_primes_below(z), rhos):
+        if r == p:
+            raise ZeroFactor(f"rho({p}) = {p}")
+        out *= one - one * r / p
+    return out
+
+
+BIT_SYSTEMS = [[[1, 0]], [[1, 0], [1, 2]], [[1, 0], [1, 2], [1, 6]],
+               [[1, 0], [1, 4], [1, 6], [1, 10]], [[3, 1], [5, -1]], [[3, 1], [5, -2]],
+               [[1, 0], [1, 2], [1, 4]], [[2, 2 ** 45 - 1], [3, 7], [5, -11]]]
+
+
+@pytest.mark.parametrize("forms, z", [(f, z) for f in BIT_SYSTEMS for z in (10, 100, 10 ** 4)]
+                         + [(f, 10 ** 5) for f in BIT_SYSTEMS[1:3]], ids=str)
+def test_v_product_and_h_sum_bit_identical(forms, z):
+    # against the per-prime loop on the brute-force rho(p) (brute_rho below
+    # 10^4, where it is cheap; its factorization table at 10^5)
+    L = build_system(forms)
+    rhos = [brute_rho(L, p) for p in _primes_below(z)] if z <= 10 ** 4 else brute_rho_table(L, z)
+    for exact in (False, True):
+        try:
+            want = reference_V(rhos, z, exact)
+        except ZeroFactor as exc:
+            with pytest.raises(ZeroFactor, match=f"^{re.escape(str(exc))}$"):
+                V_product(L, z, exact)
+            continue
+        got = V_product(L, z, exact)
+        assert type(got) is type(want) and got == want
+    value = math.fsum(r * math.log(p) / p for p, r in zip(_primes_below(z), rhos))
+    assert H_sum(L, z) == (value, value - L.kappa * math.log(z))
 
 
 class TestAdmissibility:

@@ -346,6 +346,16 @@ class TestContracts:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("spec", ["[[1,0]]", "0,2,x", ""])
+    def test_unparsed_tuple_spec_names_the_forms(self, capsys, spec):
+        # '[[1,0]]' gave "invalid literal for int() with base 10: '[[1'"
+        code, out, err = run_cli(capsys, "identity", "--tuple", spec, "--x", "100",
+                                 "--z", "10", "--zp", "10", "--xi", "10")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: tuple spec {spec!r} is not a JSON file path, a JSON object "
+                       '{"forms": ...} or comma-separated integer offsets\n')
+
     @pytest.mark.parametrize("command", [SEARCH, IDENTITY], ids=["search", "identity"])
     @pytest.mark.parametrize("flag", ["--tuple", "--output"])
     def test_file_errors_exit_2(self, capsys, tmp_path, command, flag):

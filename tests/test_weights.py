@@ -478,7 +478,7 @@ class TestErrorPaths:
 
 def memoless_classical(L, xi, zp, exact):
     """Classical lambda straight from _lattice and _dual, by no cache."""
-    lat = weights._lattice(L, support_elements(xi, zp))
+    lat = weights._lattice(L, support_elements(xi, zp), min(zp, xi))
     return weights._dual(lat, dict.fromkeys(lat.rho, Fraction(1) if exact else 1.0),
                          True, exact)
 
@@ -655,7 +655,7 @@ def g_floor_oracle(L, r, z_prime, exact=False):
     V = {floor(N/i)} u {0} sorted, and each prime p < z' reads the old
     S(floor(v/p)) at its binary-searched index in V."""
     primes = arithmetic._primes_below(min(z_prime, r))
-    rhos = [arithmetic._rho_prime(L, p) for p in primes]
+    rhos = [brute_rho(L, p) for p in primes]
     N = math.ceil(r) - 1
     prod = 1
     for p in primes:
