@@ -71,14 +71,15 @@ def cmd_jfun(args) -> int:
         raise ValueError("--grid must be >= 1")
     if args.grid > JFUN_GRID_CAP:
         raise BudgetExceeded(f"--grid = {args.grid} above cap {JFUN_GRID_CAP}")
-    J = solve_j(args.kappa, args.w_max, tol=args.tol, degree=args.degree)
+    w_max = max(moments_mod.canonical_u(args.kappa), 1.0) if args.w_max is None else args.w_max
+    J = solve_j(args.kappa, w_max, tol=args.tol, degree=args.degree)
     header = ("w", "log_q", "j", "j_prime")
     rows = [(w, J.log_q(w), J.j(w), J.j_prime(w))
-            for w in (args.w_max * i / args.grid for i in range(args.grid + 1))]
+            for w in (w_max * i / args.grid for i in range(args.grid + 1))]
     # the JSON grid keeps the CSV's 12 digits; log q(0) = -inf goes out as null
     grid = [{k: float(_fmt(v)) if math.isfinite(v) else None
              for k, v in zip(header, row)} for row in rows]
-    _write_table(args, header, rows, {"kappa": args.kappa, "w_max": args.w_max,
+    _write_table(args, header, rows, {"kappa": args.kappa, "w_max": w_max,
                                       "tol": args.tol, "degree": J.degree, "grid": grid})
     return 0
 
@@ -248,8 +249,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "jfun" and args.w_max is None:
-        args.w_max = max(moments_mod.canonical_u(args.kappa), 1.0)
     try:
         return args.func(args)
     except ResourceError as exc:

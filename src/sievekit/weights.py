@@ -22,17 +22,13 @@ last enumeration and cuts each prefix by bisection.  The first call for
 a prime set enumerates exactly to xi; a repeat call past the kept bound
 B enumerates again to max(xi, 2B), so an ascending sweep enumerates
 about log2 xi times per prime set.  The classical zeta = 1 makes lambda
-a function of (L, support, mode) alone, and the support of (xi, z') is
-fixed by the number of primes below min(z', xi) and the prefix length,
-so build_lambda_system keeps each classical lattice and lambda under
-that key and hands each caller its own lambda and zeta dicts; the
-lattice is shared, as nothing mutates it.  The enumeration memo holds
-one enumeration; the classical memo holds every classical system asked
-for under that enumeration's prime set, one per distinct support, and
-is emptied when an enumeration for another prime set starts.  A sweep
-over z' between two primes thus inverts each support once, at the cost
-of keeping those systems: about 15 MB for one float system at
-z' = 1000, xi = 10^5.
+a function of (L, support, mode) alone, so the enumeration also keeps
+every classical system built on one of its prefixes, keyed by (L, prefix
+length, mode); callers get their own lambda and zeta dicts and share the
+lattice, which nothing mutates.  A grown enumeration of the same primes
+keeps them and one of another prime set drops them, so a sweep inverts
+each support once per prime set, at the cost of keeping those systems:
+about 15 MB for one float system at z' = 1000, xi = 10^5.
 
 For a concrete instance A = {L(n) : n <= x} the weighted sum
 
@@ -139,17 +135,12 @@ def _prime_a(W: RichertWeights, p: int) -> float:
 # squarefree support enumeration
 
 
-# The last enumeration (B, primes, pairs): the (m, primes of m) pairs for
-# every squarefree product m < B of ``primes``, sorted by m, where primes
-# are those below min(z', B) for the z' that asked.
-_enumerated = (0, (), [])
-
-# The classical (zeta = 1) systems requested under that enumeration's
-# prime set: (L, k, n, exact) -> (support, lattice, zeta, lambda), the
-# support being the first n squarefree products of the first k primes.
-# support_elements empties it when it starts enumerating another prime
-# set, so it holds one entry per distinct classical support of the set.
-_classical_memo = {}
+# The last enumeration (B, primes, pairs, classical): the (m, primes of m)
+# pairs for every squarefree product m < B of ``primes``, sorted by m,
+# where primes are those below min(z', B) for the z' that asked; and the
+# classical (zeta = 1) systems built on its prefixes, (L, n, exact) ->
+# (support, lattice, zeta, lambda) for the first n pairs.
+_enumerated = (0, (), [], {})
 
 
 def support_elements(xi: float, z_prime: float,
@@ -163,13 +154,14 @@ def support_elements(xi: float, z_prime: float,
     budget = _whole("budget", budget, 0)
     if xi <= 1:
         raise SupportEmpty("xi <= 1 leaves no support")
-    bound, have, pairs = _enumerated
+    bound, have, pairs, classical = _enumerated
     # Both prime lists are initial runs of the primes, so they agree below
-    # the cut when they count as many primes there.
+    # the cut when they count as many primes there.  A grown enumeration
+    # of the same primes keeps their pairs as a prefix, so its classical
+    # systems carry over; another prime set starts with none.
     cut = min(xi, bound)
     if bisect.bisect_left(_primes_below(min(z_prime, xi)), cut) != bisect.bisect_left(have, cut):
-        bound = 0
-        _classical_memo.clear()
+        bound, classical = 0, {}
     if xi > bound:
         grown = max(xi, 2 * bound)
         entry = _sorted_products(z_prime, grown, budget)
@@ -177,7 +169,7 @@ def support_elements(xi: float, z_prime: float,
             entry = _sorted_products(z_prime, xi, budget)
         if entry is None:
             raise BudgetExceeded("support lattice above node budget")
-        _enumerated = entry
+        _enumerated = (*entry, classical)
         pairs = entry[2]
     n = bisect.bisect_left(pairs, xi, key=operator.itemgetter(0))
     if n > budget:
@@ -233,8 +225,8 @@ class LambdaSystem:
     decompose on this system.  lambda_1 != 0 is required; normalized()
     returns lambda'_nu = lambda_nu / lambda_1.  zeta and lam are the
     system's own dicts.  A classical system shares its support tuple and
-    lattice with the classical memo, which keeps them until an
-    enumeration for another prime set starts.
+    lattice with the support enumeration it was built on, which keeps
+    them until an enumeration of another prime set replaces it.
     """
 
     L: LinearSystem
@@ -253,12 +245,14 @@ class LambdaSystem:
         return {nu: v / l1 for nu, v in self.lam.items()}
 
 
-def _lattice(L: LinearSystem, sf, cut: float) -> SupportLattice:
-    """Lattice over the (m, primes) pairs of support_elements, products of
-    every prime below ``cut``, with rho(m) = rho(m/p) rho(p) and phi(m) =
-    phi(m/p) phi(p).  The smallest prime with rho(p) = 0 raises
-    DensityZero, with rho(p) = p (f'(p) = 0) DivisionByZero."""
-    rho_p = dict(zip(_primes_below(cut), _rho_below(L, cut)))
+def _lattice(L: LinearSystem, sf) -> SupportLattice:
+    """Lattice over the (m, primes) pairs of support_elements, with rho(m) =
+    rho(m/p) rho(p) and phi(m) = phi(m/p) phi(p).  Every prime of the
+    support is one of its elements, so rho(p) is read up to the largest.
+    The smallest prime with rho(p) = 0 raises DensityZero, with rho(p) = p
+    (f'(p) = 0) DivisionByZero."""
+    primes = [m for m, pf in sf if len(pf) == 1]
+    rho_p = dict(zip(primes, _rho_below(L, max(primes, default=1) + 1)))
     for p, r in rho_p.items():
         if r in (0, p):
             raise DensityZero(f"rho({p}) = 0") if r == 0 else DivisionByZero(f"f'({p}) = 0")
@@ -330,12 +324,13 @@ def zeta_from_poly(P: SievePolynomial, xi: float, z_prime: float,
     return _poly_zeta(P, xi, z_prime, support_elements(xi, z_prime), exact)
 
 
-def _invert(L: LinearSystem, sf, cut: float, values: dict, name: str, to_lambda: bool,
+def _invert(L: LinearSystem, sf, values: dict, to_lambda: bool,
             exact: bool) -> tuple[SupportLattice, dict]:
-    """(lattice, other coordinates) of the ``name`` values over the support
-    pairs sf of the primes below ``cut``: lambda from zeta when to_lambda,
-    else zeta from lambda.  DomainError naming the first element with no
-    value or with a float value that is NaN or infinite."""
+    """(lattice, other coordinates) of the values over the support pairs
+    sf: lambda from zeta when to_lambda, else zeta from lambda.
+    DomainError naming the first element with no value or with a float
+    value that is NaN or infinite."""
+    name = "zeta" if to_lambda else "lambda"
     missing = next((m for m, _ in sf if m not in values), None)
     if missing is not None:
         raise DomainError(f"no {name} value for support element {missing}")
@@ -343,7 +338,7 @@ def _invert(L: LinearSystem, sf, cut: float, values: dict, name: str, to_lambda:
                 and not math.isfinite(values[m])), None)
     if bad is not None:
         raise DomainError(f"{name} value {values[bad]} for support element {bad} is not finite")
-    lat = _lattice(L, sf, cut)
+    lat = _lattice(L, sf)
     return lat, _dual(lat, values, to_lambda, exact)
 
 
@@ -351,33 +346,31 @@ def lambda_from_zeta(L: LinearSystem, xi: float, z_prime: float, zeta: dict,
                      exact: bool = True) -> dict:
     """Invert mu(d) lambda_d / f(d) = sum_{r < xi/d} zeta_{dr}/f'(dr).
     DomainError when zeta misses a support element."""
-    return _invert(L, support_elements(xi, z_prime), min(z_prime, xi), zeta, "zeta", True,
-                   exact)[1]
+    return _invert(L, support_elements(xi, z_prime), zeta, True, exact)[1]
 
 
 def zeta_from_lambda(L: LinearSystem, xi: float, z_prime: float, lam: dict,
                      exact: bool = True) -> dict:
     """The defining direction mu(r) zeta_r / f'(r) = sum lambda_{dr}/f(dr).
     DomainError when lam misses a support element."""
-    return _invert(L, support_elements(xi, z_prime), min(z_prime, xi), lam, "lambda", False,
-                   exact)[1]
+    return _invert(L, support_elements(xi, z_prime), lam, False, exact)[1]
 
 
-def _classical(L: LinearSystem, cut: float, sf, exact: bool):
+def _classical(L: LinearSystem, sf, exact: bool):
     """(support, lattice, zeta, lambda) of the classical zeta = 1 over the
-    support pairs sf, the first len(sf) squarefree products of the k primes
-    below ``cut``, keyed by k: from _classical_memo, or inverted by _invert
-    and kept there until support_elements starts an enumeration for another
-    prime set.  The memo's memory is the sum of its systems' (about 15 MB
-    for a float system of 25,704 elements).  Callers copy zeta and lambda;
+    support pairs sf, the first len(sf) pairs of the last enumeration:
+    from that enumeration's classical systems, or inverted by _invert and
+    kept there.  Their memory is the sum of the systems' (about 15 MB for
+    a float system of 25,704 elements).  Callers copy zeta and lambda;
     nothing mutates a lattice or a support tuple."""
-    key = (L, len(_primes_below(cut)), len(sf), exact)
-    held = _classical_memo.get(key)
+    classical = _enumerated[3]
+    key = (L, len(sf), exact)
+    held = classical.get(key)
     if held is None:
         support = tuple(m for m, _ in sf)
         zeta = dict.fromkeys(support, Fraction(1) if exact else 1.0)
-        lat, lam = _invert(L, sf, cut, zeta, "zeta", True, exact)
-        held = _classical_memo[key] = support, lat, zeta, lam
+        lat, lam = _invert(L, sf, zeta, True, exact)
+        held = classical[key] = support, lat, zeta, lam
     return held
 
 
@@ -388,23 +381,22 @@ def build_lambda_system(L: LinearSystem, xi: float, z_prime: float,
     (zeta_r = P(log(xi/r)/log z')), or the classical choice zeta = 1
     when neither is given.  The system keeps its support lattice.  A
     classical system comes from _classical, so it shares its lattice with
-    every classical system of the same (L, support, mode) built since the
-    last enumeration of another prime set, and the memo keeps it that
-    long.  DomainError when zeta and P are both given, or when explicit
-    zeta values miss a support element or are not finite."""
+    every classical system of the same (L, support, mode) built on the
+    same support enumeration.  DomainError when zeta and P are both given,
+    or when explicit zeta values miss a support element or are not finite."""
     if zeta is not None and P is not None:
         raise DomainError("give zeta or P, not both")
     sf = support_elements(xi, z_prime)
     if zeta is None and P is None:
         # lambda_1 = sum 1/f'(m) > 0: no check needed
-        support, lat, zeta, lam = _classical(L, min(z_prime, xi), sf, exact)
+        support, lat, zeta, lam = _classical(L, sf, exact)
         return LambdaSystem(L, xi, z_prime, support, dict(zeta), dict(lam), exact, lat)
     support = tuple(m for m, _ in sf)
     if zeta is None:
         zeta = _poly_zeta(P, xi, z_prime, sf, exact)
     elif not isinstance(zeta, dict):
         zeta = {m: zeta(m) for m in support}
-    lat, lam = _invert(L, sf, min(z_prime, xi), zeta, "zeta", True, exact)
+    lat, lam = _invert(L, sf, zeta, True, exact)
     if lam[1] == 0:
         raise DivisionByZero("lambda_1 = 0")
     return LambdaSystem(L, xi, z_prime, support, {m: zeta[m] for m in support}, lam,

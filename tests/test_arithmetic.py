@@ -43,19 +43,39 @@ from sievekit.errors import (
 from sievekit.weights import G_sum
 
 
-def brute_rho(L, d):
-    """#{0 <= n < d : d | L(n)} by direct count: the product of the
-    (a*n + b) mod d, reduced mod d after each factor, one chunk of n at
-    a time.  Each partial product is below d^2, which must fit in int64."""
+def divides_L(L, n, d):
+    """d | L(n) for an int64 array n: the product of the (a*n + b) mod d,
+    reduced mod d after each factor.  Each partial product is below d^2,
+    which must fit in int64."""
     assert d * d < 2 ** 63
+    prod = np.ones_like(n)
+    for a, b in L.forms:
+        prod = prod * ((a * n + b) % d) % d
+    return prod == 0
+
+
+def largest_prime_factor(d):
+    """The largest prime factor of d >= 1 by trial division, 1 for d = 1."""
+    q, p = 1, 2
+    while p * p <= d:
+        while d % p == 0:
+            q, d = p, d // p
+        p += 1
+    return max(q, d)
+
+
+def brute_rho(L, d):
+    """#{0 <= n < d : d | L(n)} by direct count, over the n = r mod q
+    only: q is the largest prime factor of d and the r are the roots of L
+    mod q from a scan of all q residues, since q | L(n) for every n
+    counted.  About 2^20 values of n at a time."""
+    q = largest_prime_factor(d)
+    roots = np.flatnonzero(divides_L(L, np.arange(q, dtype=np.int64), q))
+    step = q * ((1 << 20) // max(len(roots), 1))
     count = 0
-    chunk = 1 << 20
-    for lo in range(0, d, chunk):
-        n = np.arange(lo, min(lo + chunk, d), dtype=np.int64)
-        prod = np.ones_like(n)
-        for a, b in L.forms:
-            prod = prod * ((a * n + b) % d) % d
-        count += int(np.count_nonzero(prod == 0))
+    for lo in range(0, d, step):
+        n = (roots[:, None] + np.arange(lo, min(lo + step, d), q, dtype=np.int64)).ravel()
+        count += int(np.count_nonzero(divides_L(L, n, d)))
     return count
 
 
@@ -225,6 +245,17 @@ def test_rho_multiplicative(ps, qs):
     d2 = math.prod(qs)
     assert rho(L, d1) * rho(L, d2) == rho(L, d1 * d2)
     assert rho(L, d1 * d2) == brute_rho(L, d1 * d2)
+
+
+@pytest.mark.parametrize("forms", [[[1, 0], [1, 2]], [[1, 0], [1, 2], [1, 6]], [[3, 1], [5, -1]]])
+def test_brute_rho_matches_full_scan(forms):
+    # the full scan counts every residue n < d on the exact values L(n),
+    # below 2^63 for n < 10^4 here, so it shares no code with brute_rho
+    L = build_system(forms)
+    n = np.arange(10 ** 4, dtype=np.int64)
+    values = np.prod([a * n + b for a, b in L.forms], axis=0)
+    for d in range(1, 10 ** 4 + 1):
+        assert brute_rho(L, d) == np.count_nonzero(values[:d] % d == 0), d
 
 
 # systems for the rule tests, each with a prime p <= M = max(A, 2AB) where

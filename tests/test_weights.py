@@ -178,7 +178,7 @@ class TestSupportPrefix:
     @pytest.fixture
     def bounds(self, monkeypatch):
         """The bound of every enumeration, from an empty memo on."""
-        monkeypatch.setattr(weights, "_enumerated", (0, (), []))
+        monkeypatch.setattr(weights, "_enumerated", (0, (), [], {}))
         seen = []
         inner = weights._products
 
@@ -478,7 +478,7 @@ class TestErrorPaths:
 
 def memoless_classical(L, xi, zp, exact):
     """Classical lambda straight from _lattice and _dual, by no cache."""
-    lat = weights._lattice(L, support_elements(xi, zp), min(zp, xi))
+    lat = weights._lattice(L, support_elements(xi, zp))
     return weights._dual(lat, dict.fromkeys(lat.rho, Fraction(1) if exact else 1.0),
                          True, exact)
 
@@ -555,8 +555,7 @@ class TestClassicalMemo:
     @pytest.fixture
     def fresh(self, monkeypatch):
         """No enumeration and no classical system held."""
-        monkeypatch.setattr(weights, "_enumerated", (0, (), []))
-        monkeypatch.setattr(weights, "_classical_memo", {})
+        monkeypatch.setattr(weights, "_enumerated", (0, (), [], {}))
 
     def test_held_while_the_prime_set_lasts(self, fresh, twin):
         S = build_lambda_system(twin, 30, 12)
@@ -567,11 +566,20 @@ class TestClassicalMemo:
             build_lambda_system(twin, xi, zp)
             gc.collect()
             assert held() is not None
-        assert len(weights._classical_memo) == 4
+        assert len(weights._enumerated[3]) == 4
         build_lambda_system(twin, 30, 14)  # 13 joins the primes
         gc.collect()
         assert held() is None
-        assert len(weights._classical_memo) == 1
+        assert len(weights._enumerated[3]) == 1
+
+    def test_a_refused_enumeration_keeps_the_systems(self, fresh, twin):
+        # the classical systems were dropped before the enumeration of the
+        # other prime set ran, so a refused one left the kept enumeration
+        # without them, and the next call inverted its support again
+        first = build_lambda_system(twin, 30, 12)
+        with pytest.raises(BudgetExceeded):
+            support_elements(10 ** 6, 10 ** 6, budget=100)
+        assert build_lambda_system(twin, 30, 12).lattice is first.lattice
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_reuses_a_system_across_z_prime(self, twin, exact):
