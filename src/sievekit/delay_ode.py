@@ -17,13 +17,21 @@ integrating term by term.  g has O(1) relative variation per interval
 for every kappa (q itself spans hundreds of orders of magnitude, which
 is why a direct polynomial representation of q would lose all relative
 accuracy at large kappa).  On (0, 1], g = 1 identically, so q = w^kappa
-is represented exactly there.  Each step is three products with fixed
-matrices cached per degree: the previous interval's values at t - 1
-(which has the same local coordinate there as t here, so the matrix is
-the Chebyshev-Vandermonde matrix of the nodes), the fit of the
-integrand's values at the Chebyshev-Gauss nodes to its coefficients
-(discrete orthogonality of T_j at those nodes), and the term-by-term
-integral from the interval's left end.
+is represented exactly there.  The kernel -kappa (1 - 1/t)^kappa / t of
+the integrand is one array expression per solve, its values at the
+Chebyshev-Gauss nodes of every interval.  Each step multiplies the
+interval's kernel row by the previous interval's values at t - 1 (which
+has the same local coordinate there as t here, so one Chebyshev-
+Vandermonde matrix of the nodes maps its coefficients to them), then
+takes one product with a matrix cached per degree: the fit of those
+values to Chebyshev coefficients (discrete orthogonality of T_j at the
+nodes) followed by the term-by-term integral from the interval's left
+end, stacked over the fit's two highest rows, so that the new
+coefficients and the truncation estimate come out together.  g at the
+right end, the next interval's start, is ``_clenshaw`` at x = 1, so it
+is bit for bit the value the solution reports there.  An interval whose
+estimate misses tol takes the same step at twice the degree, with its
+kernel row computed at that degree's nodes.
 
 j' is evaluated two ways.  The integrals of ``moments`` need it at fixed
 Gauss-Legendre nodes of whole unit intervals, so ``JFunction.j_prime_nodes``
@@ -235,7 +243,7 @@ class JFunction:
         k = self.kappa
         v = np.arange(len(self._coef) + 1)[:, None] + t
         log_v = np.log(v)
-        log_g = np.log(self._coef @ C.chebvander(2.0 * t - 1.0, self._coef.shape[1] - 1).T)
+        log_g = np.log(self._coef @ _node_vander(n, self._coef.shape[1] - 1))
         lq = k * log_v[1:] + log_g
         lq_delayed = k * np.log(v[1:] - 1.0)  # g = 1 on (0, 1]
         lq_delayed[1:] += log_g[:-1]
@@ -317,6 +325,19 @@ def _collocation(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, fit, integrate
 
 
+@functools.lru_cache(maxsize=8)
+def _step_matrix(n: int) -> np.ndarray:
+    """``integrate @ fit`` of ``_collocation(n)`` stacked over ``fit[-2:]``:
+    one product with the integrand's values at the degree-n nodes gives
+    the n+2 coefficients of its integral from the interval's left end,
+    then its interpolant's two highest coefficients, the truncation
+    estimate."""
+    _, fit, integrate = _collocation(n)
+    step = np.vstack([integrate @ fit, fit[-2:]])
+    step.flags.writeable = False
+    return step
+
+
 @functools.lru_cache(maxsize=32)
 def _previous_values(n: int, n_prev: int) -> np.ndarray:
     """The matrix that maps the previous interval's degree-n_prev
@@ -328,20 +349,24 @@ def _previous_values(n: int, n_prev: int) -> np.ndarray:
     return vander
 
 
-def _solve_interval(kappa, m, coeffs, g_left, n):
-    """Chebyshev coefficients of g on [m, m+1] plus a truncation estimate."""
-    nodes, fit, integrate = _collocation(n)
-    t = m + 0.5 * (nodes + 1.0)
+@functools.lru_cache(maxsize=8)
+def _node_vander(n: int, degree: int) -> np.ndarray:
+    """The transposed Chebyshev-Vandermonde matrix of degree ``degree`` at
+    the local coordinates 2t - 1 of the n Gauss-Legendre nodes t: it maps
+    a row of coefficients to the series' values at those nodes."""
+    t, _ = gauss_legendre(n)
+    vander = C.chebvander(2.0 * t - 1.0, degree).T
+    vander.flags.writeable = False
+    return vander
+
+
+def _kernel(kappa, m, n):
+    """-kappa (1 - 1/t)^kappa / t at the degree-n collocation nodes t of
+    the interval (m, m+1]; with m a column of interval indices, one row
+    per interval."""
+    t = m + 0.5 * (_collocation(n)[0] + 1.0)
     with np.errstate(under="ignore"):
-        integrand = np.exp(kappa * np.log1p(-1.0 / t) - np.log(t))
-    if m > 1:  # g = 1 on (0, 1]
-        prev = coeffs[m - 2]
-        integrand *= _previous_values(n, len(prev) - 1) @ prev
-    fc = fit @ integrand
-    gc = -kappa * (integrate @ fc)
-    gc[0] += g_left
-    tail = abs(fc[-1]) + abs(fc[-2])
-    return gc, kappa * tail
+        return -kappa * np.exp(kappa * np.log1p(-1.0 / t) - np.log(t))
 
 
 def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> JFunction:
@@ -364,20 +389,27 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> J
         raise ValueError(f"tol = {tol:g} must be finite and > 0")
 
     n_intervals = max(int(math.ceil(w_max)) - 1, 0)
+    kernels = _kernel(kappa, np.arange(1, n_intervals + 1)[:, None], degree)
     coeffs: list[np.ndarray] = []
     g_left = 1.0
     max_deg = degree
-    for m in range(1, n_intervals + 1):
+    for m, integrand in enumerate(kernels, 1):
         n = degree
         while True:
-            gc, err = _solve_interval(kappa, m, coeffs, g_left, n)
+            if coeffs:  # g = 1 on (0, 1]
+                integrand = integrand * (_previous_values(n, len(coeffs[-1]) - 1) @ coeffs[-1])
+            out = _step_matrix(n) @ integrand
+            gc = out[:-2]
+            gc[0] += g_left
             g_right = _clenshaw(1.0, gc[::-1].tolist())
+            err = abs(out[-1]) + abs(out[-2])
             if err <= tol * max(abs(g_left), abs(g_right)):
                 break
             if n >= MAX_DEGREE:
                 raise ToleranceNotMet(
                     f"interval ({m},{m+1}]: estimate {err:.3g} above tol at degree {n}")
             n *= 2
+            integrand = _kernel(kappa, m, n)
         max_deg = max(max_deg, n)
         coeffs.append(gc)
         g_left = g_right
@@ -387,8 +419,12 @@ def solve_j(kappa: int, w_max: float, tol: float = 1e-10, degree: int = 32) -> J
 
 def _resolve_j(kappa, u, J):
     """``J`` checked against kappa and u, or j_kappa solved on [0, max(u, 1)];
-    DomainError unless u is positive and finite.  The one check of every
-    consumer of a solved J at a sieve parameter u."""
+    DomainError unless u is positive and finite.  Without J, a kappa that
+    is not a whole number >= 1 is refused first (ValueError), since the
+    canonical u = kappa - 1/9 of such a kappa is no sieve parameter.  The
+    one check of every consumer of a solved J at a sieve parameter u."""
+    if J is None:
+        kappa = _whole("kappa", kappa, 1)
     if not 0.0 < u < math.inf:
         raise DomainError(f"u = {u:g} must be positive and finite")
     if J is None:

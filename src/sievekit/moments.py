@@ -36,6 +36,7 @@ fixtures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,10 @@ from scipy import integrate
 
 from .arithmetic import _whole
 from .delay_ode import JFunction, _resolve_j, gauss_legendre
-from .errors import DomainError, PoleError, QuadratureFailure
+from .errors import DomainError, PoleError, QuadratureFailure, RangeOverflow
 
 RANGE_GRID = 4001
+_LOG_MAX = math.log(sys.float_info.max)
 
 # ----------------------------------------------------------------------
 # special functions
@@ -67,13 +69,18 @@ def digamma(x: float) -> float:
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Gamma(s, x) = int_x^inf t^(s-1) e^-t dt for s, x > 0."""
+    """Gamma(s, x) = int_x^inf t^(s-1) e^-t dt for s, x > 0; inf at
+    s = inf, RangeOverflow where a finite s gives a value above the
+    largest double."""
     if not (s > 0 and x > 0):
         raise ValueError("need s > 0 and x > 0")
     tail = float(sc.gammaincc(s, x))
     if tail == 0.0:
         return 0.0
-    return math.exp(float(sc.gammaln(s)) + math.log(tail))
+    log_value = float(sc.gammaln(s)) + math.log(tail)
+    if log_value > _LOG_MAX and s < math.inf:
+        raise RangeOverflow(f"Gamma({s:g}, {x:g}) = exp({log_value:.6g}) overflows a double")
+    return math.exp(log_value)
 
 
 def _check_pole(x: float):
@@ -190,11 +197,12 @@ def _integral(J, u, coef, *, log=False):
         fine, coarse = (_node_sums(J, rows, u, coef, log, n)
                         for n in (GL_NODES, GL_NODES // 2))
         err = np.abs(fine - coarse)
-        for m, e, value in zip(range(rows), err, fine):
-            if e > max(per, _EPSREL * abs(value)):
-                raise QuadratureFailure(
-                    f"Gauss-Legendre on [{u - (m + 1)},{u - m}]: {GL_NODES} and "
-                    f"{GL_NODES // 2} nodes differ by {e:.3g}")
+        failed = np.flatnonzero(err > np.maximum(per, _EPSREL * np.abs(fine)))
+        if failed.size:
+            m = int(failed[0])
+            raise QuadratureFailure(
+                f"Gauss-Legendre on [{u - (m + 1)},{u - m}]: {GL_NODES} and "
+                f"{GL_NODES // 2} nodes differ by {err[m]:.3g}")
         parts = fine.tolist()
     pts = [0.0] + [u - m for m in range(top - 1, rows - 1, -1)]
     rev = [float(a) for a in reversed(coef)]

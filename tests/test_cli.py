@@ -287,6 +287,7 @@ class TestContracts:
         (("bound", "--kappa", "10:20:0"), KAPPA_SPEC % "'10:20:0'"),
         (("moments", "--kappa", "1:3:1:9"), KAPPA_SPEC % "'1:3:1:9'"),
         (("moments", "--kappa", "5,nan"), KAPPA_SPEC % "'5,nan'"),
+        (("moments", "--kappa", "0"), "kappa = 0 must be >= 1"),
         (("bound", "--kappa", "10", "--slack", "nan"), "slack = nan must be finite"),
         (("bound", "--kappa", "10", "--slack", "inf"), "slack = inf must be finite"),
     ], ids=["alpha-0", "alpha--1", "alpha-1", "alpha-nan", "alpha-inf", "poly-nan",
@@ -296,7 +297,7 @@ class TestContracts:
             "delta-U-near-1", "delta-nan", "delta-inf", "eps-nan", "eps--1", "tol-nan",
             "tol--1", "tol-0", "degree-257", "degree-30000", "kappa-empty",
             "kappa-step-negative", "kappa-step-0", "kappa-four-parts", "kappa-nan",
-            "slack-nan", "slack-inf"])
+            "moments-kappa-0", "slack-nan", "slack-inf"])
     def test_bad_value_exit_2(self, capsys, argv, message):
         # a later --z, --x, ... overrides the one in IDENTITY
         code, out, err = run_cli(capsys, *argv)
@@ -425,11 +426,11 @@ STDOUT_SHA256 = {
     "moments-csv": ("moments --kappa 1,10",
                     "120ddd95b0fbc35c8fe1cbc0efe27a14f17da773ce54be4958f23c3e1c307554"),
     "moments-json": ("moments --kappa 1,10 --format json",
-                     "a8f219aee667658aa808fed8a02a670f1826c9a2217fb5e159e0bd31e4339146"),
+                     "5e7c4f6f827cbbff1b72128d8aac6c599f2608161f059f6be6f37312ad3e437d"),
     "bound-csv": ("bound --kappa 10,130",
-                  "873d6e8882aedb04b7d49dfb3e37e08a290f9d3924f5d7d82b750f69a7e5b0f5"),
+                  "39c1d4be09d313e6d2af7f3c4ee08685cd10623611ab9476e6ca42d937146fdb"),
     "bound-json": ("bound --kappa 10,130 --format json",
-                   "cafc96ad5deeeff538a8a282fdd02b2b0fae20779fddd4c1c166819ee1531879"),
+                   "00f3f696e670eb990a9c9eb829371a860db27e6e0b0ed794565a229a4a997a5b"),
     "search-csv": ("search --tuple 0,2 --x 1000",
                    "feb388350c05a1d5c33fd87a6fad382661e1ca549285c8cb7f4b9b2c89526ac3"),
     "search-json": ("search --tuple 0,2 --x 1000 --format json",

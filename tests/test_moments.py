@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -9,7 +10,7 @@ from scipy import integrate
 
 from sievekit.bounds import r_bound_numeric
 from sievekit.delay_ode import EULER_GAMMA, gauss_legendre, solve_j
-from sievekit.errors import DomainError, PoleError, QuadratureFailure
+from sievekit.errors import DomainError, PoleError, QuadratureFailure, RangeOverflow
 from sievekit.moments import (
     SievePolynomial,
     _integral,
@@ -77,6 +78,18 @@ class TestSpecial:
     def test_limits_at_inf_kept(self):
         assert log_gamma(math.inf) == math.inf
         assert upper_incomplete_gamma(1.0, math.inf) == 0.0
+
+    @pytest.mark.parametrize("s,x", [(172.0, 1.0), (1e6, 1.0), (1e308, 1.0)])
+    def test_incomplete_gamma_overflow_refused(self, s, x):
+        # (1e6, 1) raised a bare OverflowError and (1e308, 1) returned inf
+        with pytest.raises(RangeOverflow, match="^" + re.escape(f"Gamma({s:g}, {x:g}) = exp(")):
+            upper_incomplete_gamma(s, x)
+
+    def test_incomplete_gamma_largest_values(self):
+        # Gamma(171, 1) = 170! (1 - P(171, 1)) ~ 7.3e306 is a double
+        assert upper_incomplete_gamma(171.0, 1.0) == pytest.approx(
+            math.factorial(170), rel=1e-12)
+        assert upper_incomplete_gamma(math.inf, 1.0) == math.inf
 
     def test_incomplete_gamma_closed_form(self):
         # Gamma(2, x) = (x + 1) e^-x
@@ -324,6 +337,12 @@ class TestResolveJ:
         with pytest.raises(DomainError, match="^u = -1 must be positive and finite$"):
             moment_J1(10, u=-1.0)
 
+    @pytest.mark.parametrize("moment", [moment_J1, moment_J2])
+    def test_kappa_below_one_refused_before_solving(self, moment):
+        # the canonical u = kappa - 1/9 was refused first: "u = -0.111111 ..."
+        with pytest.raises(ValueError, match="^kappa = 0 must be >= 1$"):
+            moment(0)
+
     def test_fractional_kappa_refused(self, jfun):
         with pytest.raises(ValueError, match="kappa = 2.7 must be an integer"):
             moment_J1(2.7)
@@ -442,8 +461,10 @@ class TestNodeQuadrature:
         # a kink inside every unit interval: Gauss-Legendre converges only
         # algebraically there, and 32 nodes miss the 64-node value
         J = StubJ(lambda t: np.abs(t - 1.0 / 3.0), rows=4)
-        with pytest.raises(QuadratureFailure, match="64 and 32 nodes differ by"):
+        with pytest.raises(QuadratureFailure, match="64 and 32 nodes differ by") as failure:
             _integral(J, 3.5, [1.0])
+        # every piece fails; the message names the first, v in [0, 1]
+        failure.match(r"on \[2\.5,3\.5\]")
 
     def test_one_quad_call_per_integral(self, jfun, monkeypatch):
         calls = []
